@@ -91,7 +91,8 @@ impl DamgnSparseBinding {
 }
 
 /// Version-keyed cache of the folded static component `λ_A·A_s + λ_B·B`
-/// (one tensor per base support), used on inference paths.
+/// (one tensor per base support) and, on the top-k path, of the shared
+/// candidate pattern.
 ///
 /// During training the static mix depends on live parameters and must stay
 /// on the tape, but between optimizer steps it is constant — recomputing
@@ -101,9 +102,15 @@ impl DamgnSparseBinding {
 /// checkpoint restore) invalidates it automatically. Cache hits splice the
 /// stored values back in as constants — the exact tensors the tracked path
 /// produced, so eval outputs are bit-identical with or without the cache.
-/// A `Mutex` (not `RefCell`) so host models stay `Sync` — shard workers in
-/// the data-parallel trainer share one `&dyn Forecaster`. Training forwards
-/// return before touching the lock, so the hot path never contends.
+///
+/// The top-k pattern is an index set that carries no gradient, so sparse
+/// *training* forwards share it too: the first window tape of a step builds
+/// it under the lock (the other shards wait rather than build it again) and
+/// stores the same entry an eval forward would, and every later tape of
+/// that store version reads it. Dense training forwards return before
+/// touching the lock. A `Mutex` (not `RefCell`) so host models stay `Sync`
+/// — shard workers in the data-parallel trainer share one
+/// `&dyn Forecaster`.
 #[derive(Default)]
 pub struct StaticFoldCache {
     slot: Mutex<Option<(u64, FoldEntry)>>,
@@ -125,6 +132,17 @@ impl StaticFoldCache {
     /// True once a folded static component is stored.
     pub fn is_populated(&self) -> bool {
         self.slot.lock().unwrap().is_some()
+    }
+
+    /// The stored top-k pattern, when it was built for store `version`
+    /// with `k` columns per row.
+    pub fn topk_pattern(&self, version: u64, k: usize) -> Option<Arc<TopkPattern>> {
+        match self.slot.lock().expect("fold cache poisoned by a panicking forward").as_ref() {
+            Some((v, FoldEntry::Sparse { pattern, .. })) if *v == version && pattern.k() == k => {
+                Some(pattern.clone())
+            }
+            _ => None,
+        }
     }
 }
 
@@ -341,24 +359,23 @@ impl Damgn {
 
     /// Builds the shared top-k candidate pattern from the current `B₁`/`B₂`
     /// memories: row `i` keeps the `k` columns with the largest raw memory
-    /// scores `B₁[i]·B₂[j]` (ReLU-dead rows keep their diagonal so the
-    /// self-loop fallback has a slot). `O(N²·M)` per build with scratch-pool
-    /// score buffers and rayon row bands; serving amortizes it through
-    /// [`Damgn::bind_sparse_cached`]. Telemetry: `damgn.topk.*`.
+    /// scores `B₁[i]·B₂[j]` (ties to the smaller column, NaN last;
+    /// ReLU-dead rows keep their diagonal so the self-loop fallback has a
+    /// slot). `O(N²·M)` per build: `B₂` is transposed once, each score row
+    /// is computed across all columns at once (`memory_scores`), and rows
+    /// run in rayon bands with scratch-pool buffers. Every forward — training
+    /// and eval — reaches it through [`Damgn::bind_sparse_cached`], which
+    /// builds once per store version. Telemetry: `damgn.topk.*`.
     pub fn topk_pattern(&self, store: &ParamStore, k: usize) -> Arc<TopkPattern> {
         let _timer = enhancenet_telemetry::span("damgn.topk.build");
         let started = enhancenet_telemetry::enabled().then(Instant::now);
         let b1 = store.value(self.b1);
-        let b2 = store.value(self.b2);
+        let b2t = store.value(self.b2).transpose();
         let n = self.num_entities;
         let m = b1.shape()[1];
-        let (b1d, b2d) = (b1.data(), b2.data());
+        let (b1d, b2td) = (b1.data(), b2t.data());
         let pattern = TopkPattern::from_scores(n, n, k.min(n), |i, out| {
-            let bi = &b1d[i * m..(i + 1) * m];
-            for (j, slot) in out.iter_mut().enumerate() {
-                let bj = &b2d[j * m..(j + 1) * m];
-                *slot = bi.iter().zip(bj).map(|(&a, &b)| a * b).sum();
-            }
+            memory_scores(&b1d[i * m..(i + 1) * m], b2td, out);
         });
         if let Some(t0) = started {
             enhancenet_telemetry::count("damgn.topk.build_ns", t0.elapsed().as_nanos() as u64);
@@ -435,10 +452,17 @@ impl Damgn {
     }
 
     /// [`Damgn::bind_sparse`] with the pattern build and `λ_B·B` fold
-    /// served from `cache` on eval paths, keyed on [`ParamStore::version`]
-    /// exactly like the dense fold. Training forwards rebuild both (the
-    /// pattern tracks the live memories; gradients must flow through λ_B
-    /// and the retained scores). Telemetry: `damgn.fold.hits` / `.misses`.
+    /// served from `cache`, keyed on [`ParamStore::version`] exactly like
+    /// the dense fold, so the pattern is built once per store version.
+    ///
+    /// A miss builds the pattern and binds on the tape while holding the
+    /// cache lock, then stores both: concurrent shard tapes of the same step
+    /// wait for that one build instead of repeating it. A hit serves the
+    /// pattern; eval forwards also take the folded `λ_B·B` as a constant,
+    /// while training forwards recompute `λ_B·B` on their own tape so
+    /// gradients still flow through λ_B and the retained scores (the pattern
+    /// itself is an index set with no gradient). Telemetry:
+    /// `damgn.fold.hits` / `.misses`.
     pub fn bind_sparse_cached(
         &self,
         g: &mut Graph,
@@ -447,14 +471,15 @@ impl Damgn {
         cache: &StaticFoldCache,
         training: bool,
     ) -> DamgnSparseBinding {
-        if training {
-            let pattern = self.topk_pattern(store, k);
-            return self.bind_sparse(g, store, pattern);
-        }
         let mut slot = cache.slot.lock().unwrap();
         if let Some((version, FoldEntry::Sparse { pattern, weighted_b })) = slot.as_ref() {
             if *version == store.version() && pattern.k() == k.min(self.num_entities) {
                 enhancenet_telemetry::count("damgn.fold.hits", 1);
+                if training {
+                    let pattern = pattern.clone();
+                    drop(slot);
+                    return self.bind_sparse(g, store, pattern);
+                }
                 return DamgnSparseBinding {
                     pattern: pattern.clone(),
                     weighted_b: g.constant(weighted_b.clone()),
@@ -543,6 +568,21 @@ impl Damgn {
     /// embeddings, 3 lambdas (§V-B's scalability argument).
     pub fn parameter_formula(n: usize, c: usize, cfg: DamgnConfig) -> usize {
         2 * n * cfg.b_memory_dim + 2 * c * cfg.embed_dim + 3
+    }
+}
+
+/// One row of raw memory scores, `out[j] = Σ_m bi[m]·b2t[m, j]`, with
+/// `b2t = B₂ᵀ` as `[M, N]`. The loop runs across the columns `j`, so it
+/// vectorises, while each score still adds its products in ascending `m`
+/// starting from `-0.0`, as the iterator sum `bi·bj` over `zip` does, and
+/// so has the same bits. (A toolchain whose `Sum` starts from `0.0` differs
+/// at most in the sign of an exact zero, which ranks the same.)
+fn memory_scores(bi: &[f32], b2t: &[f32], out: &mut [f32]) {
+    out.fill(-0.0);
+    for (&a, b_row) in bi.iter().zip(b2t.chunks_exact(out.len())) {
+        for (o, &b) in out.iter_mut().zip(b_row) {
+            *o += a * b;
+        }
     }
 }
 
@@ -714,7 +754,7 @@ mod tests {
         let mut g = Graph::new();
         let a = g.constant(Tensor::eye(3));
         let _ = d.bind_cached(&mut g, &store, &[a], &cache, true);
-        assert!(!cache.is_populated(), "training forwards must not populate the fold cache");
+        assert!(!cache.is_populated(), "dense training forwards must not populate the fold cache");
     }
 
     /// Pins memories so that entity 0's scores are fully ReLU-pruned while
@@ -899,6 +939,83 @@ mod tests {
         let hit = run(true);
         assert_eq!(tracked.data(), miss.data());
         assert_eq!(tracked.data(), hit.data());
+    }
+
+    #[test]
+    fn memory_scores_match_the_iterator_sum_bitwise() {
+        let (n, m) = (37, 10);
+        let mut rng = TensorRng::seed(21);
+        let b1 = rng.normal(&[n, m], 0.0, 1.0);
+        let b2 = rng.normal(&[n, m], 0.0, 1.0);
+        let b2t = b2.transpose();
+        let mut row = vec![0.0f32; n];
+        for i in 0..n {
+            let bi = &b1.data()[i * m..(i + 1) * m];
+            memory_scores(bi, b2t.data(), &mut row);
+            for (j, &s) in row.iter().enumerate() {
+                let bj = &b2.data()[j * m..(j + 1) * m];
+                let old: f32 = bi.iter().zip(bj).map(|(&a, &b)| a * b).sum();
+                assert_eq!(s.to_bits(), old.to_bits(), "score ({i},{j}): {s} vs {old}");
+            }
+        }
+    }
+
+    /// Runs one sparse forward + backward through the cache and returns
+    /// the pattern it used and every parameter gradient.
+    fn sparse_step(
+        d: &Damgn,
+        store: &mut ParamStore,
+        cache: Option<&StaticFoldCache>,
+    ) -> (Arc<TopkPattern>, Vec<Vec<u32>>) {
+        let n = d.num_entities();
+        let mut rng = TensorRng::seed(5);
+        let csr = Arc::new(CsrMatrix::from_dense(&rng.uniform(&[n, n], 0.0, 0.5)));
+        let csr_t = Arc::new(csr.transpose());
+        let mut g = Graph::new();
+        let x = g.constant(rng.normal(&[2, n, 2], 0.0, 1.0));
+        let sig = g.constant(rng.normal(&[2, n, 3], 0.0, 1.0));
+        let binding = match cache {
+            Some(cache) => d.bind_sparse_cached(&mut g, store, 3, cache, true),
+            None => d.bind_sparse(&mut g, store, d.topk_pattern(store, 3)),
+        };
+        let supports = d.sparse_supports_at(&mut g, &binding, &[(csr, csr_t)], x);
+        let out = supports[0].apply(&mut g, sig);
+        let sq = g.square(out);
+        let loss = g.sum_all(sq);
+        g.backward(loss);
+        store.zero_grad();
+        g.write_grads(store);
+        let grads = store
+            .ids()
+            .map(|id| store.grad(id).data().iter().map(|v| v.to_bits()).collect())
+            .collect();
+        (binding.pattern().clone(), grads)
+    }
+
+    #[test]
+    fn training_binds_share_one_pattern_per_store_version() {
+        let (mut store, d) = make(9, 2);
+        let cache = StaticFoldCache::new();
+        let (uncached_pattern, uncached_grads) = sparse_step(&d, &mut store, None);
+        let (first, first_grads) = sparse_step(&d, &mut store, Some(&cache));
+        let (second, second_grads) = sparse_step(&d, &mut store, Some(&cache));
+        // One build serves both tapes, and sharing it changes no gradient.
+        assert!(Arc::ptr_eq(&first, &second), "second training tape rebuilt the pattern");
+        assert_eq!(*first, *uncached_pattern);
+        assert_eq!(first_grads, uncached_grads);
+        assert_eq!(second_grads, uncached_grads);
+        // An eval forward at the same version reuses the training build.
+        let mut g = Graph::new();
+        let eval = d.bind_sparse_cached(&mut g, &store, 3, &cache, false);
+        assert!(Arc::ptr_eq(eval.pattern(), &first));
+        assert!(Arc::ptr_eq(&cache.topk_pattern(store.version(), 3).unwrap(), &first));
+        assert!(cache.topk_pattern(store.version(), 4).is_none());
+        // A weight update invalidates it.
+        *store.value_mut(d.b_memory_ids().0) = store.value(d.b_memory_ids().0).map(|v| -v);
+        assert!(cache.topk_pattern(store.version(), 3).is_none());
+        let (rebuilt, _) = sparse_step(&d, &mut store, Some(&cache));
+        assert!(!Arc::ptr_eq(&rebuilt, &first), "stale pattern served after a weight update");
+        assert_eq!(*rebuilt, *d.topk_pattern(&store, 3));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! the per-forward context (training flag, teacher signals for scheduled
 //! sampling).
 
-use crate::damgn::Damgn;
+use crate::damgn::{Damgn, StaticFoldCache};
 use crate::error::EnhanceNetError;
 use enhancenet_autodiff::{
     Graph, ParamId, ParamStore, Plan, PlanCache, PlanError, PlanExecutor, Var,
@@ -274,6 +274,13 @@ pub trait Forecaster: Send + Sync {
     /// per-epoch graph-health probe (`crate::probes`); plain hosts and
     /// baselines keep the default `None` and the probe skips them.
     fn damgn(&self) -> Option<&Damgn> {
+        None
+    }
+
+    /// The version-keyed cache the DAMGN's forwards fold into, when the
+    /// model carries one. Lets the graph-health probe reuse the top-k
+    /// pattern the last forward built instead of building it again.
+    fn damgn_fold_cache(&self) -> Option<&StaticFoldCache> {
         None
     }
 

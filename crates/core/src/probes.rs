@@ -130,7 +130,9 @@ pub const DENSE_PROBE_MAX_ENTITIES: usize = 4096;
 ///
 /// When the DAMGN runs with a top-k budget, the statistics are computed on
 /// the sparse `[N, K]` values directly (zero entries contribute nothing to
-/// either statistic, so this is exact, not an approximation). Without a
+/// either statistic, so this is exact, not an approximation). The pattern
+/// comes from [`Forecaster::damgn_fold_cache`] when it was built for the
+/// current store version, and is built afresh otherwise. Without a
 /// budget the probe densifies, but only up to
 /// [`DENSE_PROBE_MAX_ENTITIES`]; past that the adjacency statistics are
 /// reported as `null`.
@@ -168,7 +170,12 @@ pub fn record_graph_diagnostics(
     let stats =
         |t: &Tensor| (t.row_entropy().mean_all() / ln_n, t.count_greater(uniform) as f32 / total);
     let (b_stats, c_stats) = if let Some(k) = damgn.top_k() {
-        let pattern = damgn.topk_pattern(store, k);
+        // The epoch's validation forwards just ran at this store version,
+        // so their pattern is normally still cached.
+        let pattern = model
+            .damgn_fold_cache()
+            .and_then(|cache| cache.topk_pattern(store.version(), k))
+            .unwrap_or_else(|| damgn.topk_pattern(store, k));
         let b = damgn.static_b_topk(&mut g, store, &pattern);
         let b_stats = stats(g.value(b));
         let c_stats = sample_x.map(|x| {

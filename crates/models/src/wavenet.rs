@@ -558,6 +558,10 @@ impl Forecaster for WaveNet {
         WaveNet::damgn(self)
     }
 
+    fn damgn_fold_cache(&self) -> Option<&StaticFoldCache> {
+        Some(&self.graph.as_ref()?.fold_cache)
+    }
+
     fn memory_id(&self) -> Option<ParamId> {
         WaveNet::memory_id(self)
     }

@@ -309,15 +309,17 @@ impl TopkPattern {
     /// Builds the exact top-`k` pattern of a score matrix produced row by
     /// row: `fill(i, buf)` must write all `cols` scores of row `i` into
     /// `buf`. Selection keeps the `k` largest scores (ties break toward the
-    /// smaller column), then stores the survivors ascending.
+    /// smaller column, NaN ranks below every number), then stores the
+    /// survivors ascending.
     ///
-    /// **Dead rows** — rows whose maximum score is ≤ 0 (everything pruned
-    /// by an upstream ReLU) — retain their own diagonal column plus the
-    /// smallest filler columns, so the masked-softmax self-loop fallback
-    /// always has a slot to land in.
+    /// **Dead rows** — rows with no score > 0 (everything pruned by an
+    /// upstream ReLU) — retain their own diagonal column plus the smallest
+    /// filler columns, so the masked-softmax self-loop fallback always has
+    /// a slot to land in.
     ///
-    /// Score buffers come from the thread-local scratch pool; rows are
-    /// processed in parallel bands when the total work is large.
+    /// Each row band takes its score row from the thread-local scratch pool
+    /// and keeps its selection buffers from row to row, so no row
+    /// allocates; bands run in parallel when the total work is large.
     ///
     /// # Panics
     ///
@@ -335,12 +337,12 @@ impl TopkPattern {
         let parallel = rows.saturating_mul(cols) >= SPARSE_PAR_MIN_WORK;
         let body = |band_idx: usize, band: &mut [u32]| {
             let r0 = band_idx * ROW_BAND;
-            let mut order: Vec<u32> = Vec::with_capacity(cols);
+            let mut select = TopkSelect::new(cols, k);
             with_scratch(cols, |scores| {
                 for (r, out_cols) in band.chunks_mut(k).enumerate() {
                     let i = r0 + r;
                     fill(i, scores);
-                    select_topk_row(i, scores, k, &mut order, out_cols);
+                    select.select_row(i, scores, out_cols);
                 }
             });
         };
@@ -433,41 +435,115 @@ impl TopkPattern {
     }
 }
 
-/// Exact top-k selection for one row of scores. Keeps the `k` largest
-/// (value descending, ties toward the smaller column), except for dead rows
-/// (max ≤ 0) which keep the diagonal plus smallest fillers. Output columns
-/// are ascending.
-fn select_topk_row(row: usize, scores: &[f32], k: usize, order: &mut Vec<u32>, out: &mut [u32]) {
-    let n = scores.len();
-    let dead = scores.iter().all(|&s| s <= 0.0);
-    if dead {
-        // Diagonal first, then the smallest other columns.
-        let mut w = 0;
-        out[w] = row as u32;
-        w += 1;
-        let mut c = 0u32;
-        while w < k {
-            if c as usize != row {
-                out[w] = c;
-                w += 1;
-            }
-            c += 1;
-        }
+/// Columns per chunk of the selection's first pass.
+const SELECT_CHUNK: usize = 16;
+
+/// Orders scores as integers: a larger score gets a larger key, `-0.0` and
+/// `0.0` share one, and NaN gets 0, below every number.
+#[inline]
+fn score_key(s: f32) -> u32 {
+    let bits = (s + 0.0).to_bits();
+    let key = if (bits as i32) < 0 { !bits } else { bits | 1 << 31 };
+    if s.is_nan() {
+        0
     } else {
-        order.clear();
-        order.extend(0..n as u32);
-        let cmp = |&a: &u32, &b: &u32| {
-            scores[b as usize]
-                .partial_cmp(&scores[a as usize])
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        };
-        if k < n {
-            order.select_nth_unstable_by(k - 1, cmp);
-        }
-        out.copy_from_slice(&order[..k]);
+        key
     }
-    out.sort_unstable();
+}
+
+/// The largest score of a column chunk, NaN skipped (−∞ when every entry is
+/// NaN). Full chunks run at a fixed width, which vectorises.
+#[inline]
+fn chunk_max(chunk: &[f32]) -> f32 {
+    let max = |m: f32, &s: &f32| if s > m { s } else { m };
+    match <&[f32; SELECT_CHUNK]>::try_from(chunk) {
+        Ok(full) => full.iter().fold(f32::NEG_INFINITY, max),
+        Err(_) => chunk.iter().fold(f32::NEG_INFINITY, max),
+    }
+}
+
+/// Exact top-k selection for the rows of one band, reusing its buffers
+/// from row to row.
+struct TopkSelect {
+    /// Key of each column chunk's largest score.
+    chunk_max: Vec<u32>,
+    /// Working copy of `chunk_max` for the floor selection.
+    floor_pick: Vec<u32>,
+    /// Candidates as `key << 32 | !column`: a larger entry ranks higher, and
+    /// of two equal scores the smaller column does.
+    cand: Vec<u64>,
+}
+
+impl TopkSelect {
+    fn new(cols: usize, k: usize) -> Self {
+        let chunks = cols.div_ceil(SELECT_CHUNK);
+        Self {
+            chunk_max: Vec::with_capacity(chunks),
+            floor_pick: Vec::with_capacity(chunks),
+            cand: Vec::with_capacity((4 * k).min(cols)),
+        }
+    }
+
+    /// Selects row `row` into `out` (`k` columns, ascending). Keeps the `k`
+    /// largest scores (value descending, ties toward the smaller column, NaN
+    /// below every number), except for dead rows (no score > 0), which keep
+    /// the diagonal plus the smallest other columns.
+    ///
+    /// Live rows take two passes. The first finds a floor no top-k score
+    /// lies below: the `k` largest chunk maxima are `k` distinct scores, so
+    /// the k-th largest score is at least the k-th largest chunk maximum.
+    /// The second collects the scores at or above that floor, usually
+    /// little more than `k`, and selects exactly among them.
+    fn select_row(&mut self, row: usize, scores: &[f32], out: &mut [u32]) {
+        let k = out.len();
+        if !scores.iter().any(|&s| s > 0.0) {
+            // Diagonal first, then the smallest other columns.
+            let mut w = 0;
+            out[w] = row as u32;
+            w += 1;
+            let mut c = 0u32;
+            while w < k {
+                if c as usize != row {
+                    out[w] = c;
+                    w += 1;
+                }
+                c += 1;
+            }
+        } else {
+            self.chunk_max.clear();
+            self.chunk_max.extend(scores.chunks(SELECT_CHUNK).map(|c| score_key(chunk_max(c))));
+            let mut floor = 0;
+            if self.chunk_max.len() >= k {
+                self.floor_pick.clear();
+                self.floor_pick.extend_from_slice(&self.chunk_max);
+                let last = self.floor_pick.len() - k;
+                let kth = *self.floor_pick.select_nth_unstable(last).1;
+                // A chunk of NaNs also reports −∞, so that floor proves
+                // nothing and every column stays a candidate.
+                if kth > score_key(f32::NEG_INFINITY) {
+                    floor = kth;
+                }
+            }
+            self.cand.clear();
+            let chunks = scores.chunks(SELECT_CHUNK).zip(&self.chunk_max).enumerate();
+            for (ci, (chunk, _)) in chunks.filter(|(_, (_, &m))| m >= floor) {
+                for (o, &s) in chunk.iter().enumerate() {
+                    let key = score_key(s);
+                    if key >= floor {
+                        let col = (ci * SELECT_CHUNK + o) as u32;
+                        self.cand.push(u64::from(key) << 32 | u64::from(!col));
+                    }
+                }
+            }
+            if self.cand.len() > k {
+                self.cand.select_nth_unstable_by(k - 1, |a, b| b.cmp(a));
+            }
+            for (o, &e) in out.iter_mut().zip(&self.cand) {
+                *o = !(e as u32);
+            }
+        }
+        out.sort_unstable();
+    }
 }
 
 // ==================================================== pattern kernels
