@@ -46,11 +46,12 @@ const C: usize = 2;
 const F: usize = 3;
 
 /// A linear forecaster exercising the plan's hot ops (slice, reshape, GEMM,
-/// activation, permute) without the full host models, which live a crate
-/// above this one.
+/// broadcasting add, activation, permute) without the full host models,
+/// which live a crate above this one.
 struct LinearModel {
     store: ParamStore,
     w: ParamId,
+    bias: ParamId,
     plan_cache: PlanCache,
 }
 
@@ -58,7 +59,8 @@ impl LinearModel {
     fn new() -> Self {
         let mut store = ParamStore::new();
         let w = store.add("w", TensorRng::seed(1).normal(&[C, F], 0.0, 0.5));
-        Self { store, w, plan_cache: PlanCache::new() }
+        let bias = store.add("bias", TensorRng::seed(3).normal(&[F], 0.0, 0.5));
+        Self { store, w, bias, plan_cache: PlanCache::new() }
     }
 }
 
@@ -88,6 +90,8 @@ impl Forecaster for LinearModel {
         let last = g.reshape(last, &[b * N, C]);
         let w = g.param(&self.store, self.w);
         let y = g.matmul(last, w);
+        let bias = g.param(&self.store, self.bias);
+        let y = g.add(y, bias);
         let y = g.tanh(y);
         let y = g.reshape(y, &[b, N, F]);
         g.permute(y, &[0, 2, 1])

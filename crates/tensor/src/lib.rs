@@ -45,6 +45,7 @@ mod reduce;
 pub mod scratch;
 mod shape;
 pub mod sparse;
+mod strided;
 mod tensor;
 
 pub use init::TensorRng;

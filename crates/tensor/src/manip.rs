@@ -2,6 +2,7 @@
 //! padding, and axis selection. All operations materialize a new tensor.
 
 use crate::shape::{broadcast_strides_array, normalize_axis, Shape, MAX_RANK};
+use crate::strided;
 use crate::tensor::Tensor;
 
 impl Tensor {
@@ -77,8 +78,9 @@ impl Tensor {
         out
     }
 
-    /// [`Tensor::permute`] into `out`; the index walk uses stack buffers so
-    /// warm executions stay allocation-free.
+    /// [`Tensor::permute`] into `out`: a gather over contiguous runs of the
+    /// permuted index space, with stack-only bookkeeping so warm executions
+    /// stay allocation-free.
     pub fn permute_into(&self, perm: &[usize], out: &mut Tensor) {
         assert_eq!(perm.len(), self.rank(), "permute rank mismatch");
         let rank = perm.len();
@@ -98,22 +100,8 @@ impl Tensor {
             out_shape[ax] = self.shape[p];
             perm_strides[ax] = in_strides[p];
         }
-        let numel = self.numel();
         out.reset_for(&out_shape[..rank]);
-        let mut idx = [0usize; MAX_RANK];
-        let mut off = 0usize;
-        for _ in 0..numel {
-            out.data.push(self.data[off]);
-            for ax in (0..rank).rev() {
-                idx[ax] += 1;
-                off += perm_strides[ax];
-                if idx[ax] < out_shape[ax] {
-                    break;
-                }
-                off -= perm_strides[ax] * idx[ax];
-                idx[ax] = 0;
-            }
-        }
+        strided::gather_into(&self.data, &out_shape[..rank], &perm_strides[..rank], &mut out.data);
     }
 
     /// Batched transpose of the last two axes of a rank-3 tensor.
@@ -314,22 +302,8 @@ impl Tensor {
         }
         let mut strides = [0usize; MAX_RANK];
         broadcast_strides_array(&self.shape, shape, &mut strides);
-        let numel = Shape::numel(shape);
         out.reset_for(shape);
-        let mut idx = [0usize; MAX_RANK];
-        let mut off = 0usize;
-        for _ in 0..numel {
-            out.data.push(self.data[off]);
-            for ax in (0..rank).rev() {
-                idx[ax] += 1;
-                off += strides[ax];
-                if idx[ax] < shape[ax] {
-                    break;
-                }
-                off -= strides[ax] * idx[ax];
-                idx[ax] = 0;
-            }
-        }
+        strided::gather_into(&self.data, shape, &strides[..rank], &mut out.data);
     }
 
     /// Repeats the whole tensor `n` times along a new leading axis.

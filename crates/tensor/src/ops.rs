@@ -1,7 +1,8 @@
 //! Elementwise arithmetic with NumPy-style broadcasting, plus the scalar
 //! nonlinearities the models need (sigmoid, tanh, relu, exp, ln, …).
 
-use crate::shape::{broadcast_shapes_array, broadcast_strides_array, Shape, MAX_RANK};
+use crate::shape::{broadcast_shapes_array, broadcast_strides_array, MAX_RANK};
+use crate::strided;
 use crate::tensor::Tensor;
 use std::ops::{Add, Div, Mul, Neg, Sub};
 
@@ -9,7 +10,9 @@ impl Tensor {
     /// Applies `f` pairwise over the broadcast of `self` and `other`.
     ///
     /// The fast path (identical shapes) is a straight zip; the general path
-    /// walks the broadcast index space with per-input strides.
+    /// coalesces the broadcast into contiguous runs (size-1 axes dropped,
+    /// axes that stay contiguous for both inputs merged) and applies `f`
+    /// run by run, so each element is still one `f(a, b)`.
     pub fn broadcast_with(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
         let mut out = Tensor::default();
         self.broadcast_with_into(other, f, &mut out);
@@ -33,30 +36,20 @@ impl Tensor {
         let mut shape_buf = [0usize; MAX_RANK];
         let rank = broadcast_shapes_array(&self.shape, &other.shape, &mut shape_buf);
         let out_shape = &shape_buf[..rank];
-        let numel = Shape::numel(out_shape);
         let mut sa = [0usize; MAX_RANK];
         let mut sb = [0usize; MAX_RANK];
         broadcast_strides_array(&self.shape, out_shape, &mut sa);
         broadcast_strides_array(&other.shape, out_shape, &mut sb);
         out.reset_for(out_shape);
-        let mut idx = [0usize; MAX_RANK];
-        let mut off_a = 0usize;
-        let mut off_b = 0usize;
-        for _ in 0..numel {
-            out.data.push(f(self.data[off_a], other.data[off_b]));
-            // Odometer increment with incremental offset updates.
-            for ax in (0..rank).rev() {
-                idx[ax] += 1;
-                off_a += sa[ax];
-                off_b += sb[ax];
-                if idx[ax] < out_shape[ax] {
-                    break;
-                }
-                off_a -= sa[ax] * idx[ax];
-                off_b -= sb[ax] * idx[ax];
-                idx[ax] = 0;
-            }
-        }
+        strided::zip_into(
+            &self.data,
+            &sa[..rank],
+            &other.data,
+            &sb[..rank],
+            out_shape,
+            f,
+            &mut out.data,
+        );
     }
 
     /// `self + other` with broadcasting.

@@ -22,6 +22,17 @@ fn model(seed: u64) -> GruSeq2Seq {
     GruSeq2Seq::rnn(dims, 1, TemporalMode::Shared, seed)
 }
 
+/// Sets the background thread's stop flag when dropped. Created before the
+/// foreground assertions, so a failing one stops the hammer as the panic
+/// unwinds, and `thread::scope` can join it instead of hanging.
+struct StopOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Relaxed);
+    }
+}
+
 #[test]
 fn hot_swap_under_load_is_invisible_and_bitwise_correct() {
     let series = generate_traffic(&TrafficConfig::tiny(N, 2));
@@ -43,6 +54,7 @@ fn hot_swap_under_load_is_invisible_and_bitwise_correct() {
     let swap_at = 30;
     let stop = AtomicBool::new(false);
     std::thread::scope(|scope| {
+        let stop_hammer = StopOnDrop(&stop);
         // Background load: a second tenant hammering its (static) window
         // through the whole run, including the swap instant.
         let hammer = scope.spawn(|| {
@@ -106,7 +118,7 @@ fn hot_swap_under_load_is_invisible_and_bitwise_correct() {
         assert!(compared_old >= 15, "only {compared_old} pre-swap forecasts compared");
         assert!(compared_new >= 25, "only {compared_new} post-swap forecasts compared");
 
-        stop.store(true, Ordering::Relaxed);
+        drop(stop_hammer);
         let served = hammer.join().expect("hammer thread ran");
         assert!(served > 0, "background tenant never got a forecast through");
     });
