@@ -7,18 +7,19 @@
 //! crate's `_into` kernels into these buffers — the whole forward performs
 //! **zero heap allocations** (pinned by `crates/core/tests/plan_allocations.rs`).
 //!
-//! Parameters are resolved live from the [`ParamStore`] on every run, so an
-//! executor never holds stale weights; staleness of *derived* trace-time
-//! constants is handled by version keying in [`PlanCache`](crate::PlanCache).
+//! An executor reads nothing but its plan and the request: the weights it
+//! computes with are the plan's folded constants, taken from the store the
+//! plan was traced from. Several executors may share one plan (`Arc<Plan>`),
+//! each with its own arena.
 
 use crate::graph::Op;
-use crate::params::{ParamId, ParamStore};
 use crate::plan::{Instr, Plan, Src};
 use enhancenet_tensor::{sparse, Tensor};
 use std::mem;
+use std::sync::Arc;
 
 /// Static span label for one op tag (recorded on the first, profiling run).
-fn op_label(op: &Op) -> &'static str {
+pub(crate) fn op_label(op: &Op) -> &'static str {
     match op {
         Op::Leaf => "plan.op.leaf",
         Op::Add => "plan.op.add",
@@ -66,15 +67,12 @@ fn op_label(op: &Op) -> &'static str {
 fn resolve<'a>(
     arena: &'a [Tensor],
     consts: &'a [Tensor],
-    params: &'a [ParamId],
-    store: &'a ParamStore,
     input: &'a Tensor,
     src: &Src,
 ) -> &'a Tensor {
     match src {
         Src::Slot(s) => &arena[*s],
         Src::Const(c) => &consts[*c],
-        Src::Param(p) => store.value(params[*p]),
         Src::Input => input,
     }
 }
@@ -82,18 +80,14 @@ fn resolve<'a>(
 /// Executes one instruction's kernel into `dst`. Every arm calls the same
 /// `_into` kernel the tape's allocating op delegates to, so the plan output
 /// is bitwise identical to the tape's.
-#[allow(clippy::too_many_arguments)]
 fn exec_instr(
     instr: &Instr,
     dst: &mut Tensor,
     arena: &[Tensor],
     consts: &[Tensor],
-    params: &[ParamId],
-    store: &ParamStore,
     input: &Tensor,
 ) {
-    let src =
-        |i: usize| -> &Tensor { resolve(arena, consts, params, store, input, &instr.srcs[i]) };
+    let src = |i: usize| -> &Tensor { resolve(arena, consts, input, &instr.srcs[i]) };
     match &instr.op {
         Op::Leaf => unreachable!("leaves are classified at compile time"),
         Op::Add => src(0).add_t_into(src(1), dst),
@@ -126,7 +120,7 @@ fn exec_instr(
         Op::Permute { perm } => src(0).permute_into(perm, dst),
         Op::Concat { axis, .. } => {
             Tensor::concat_into(
-                instr.srcs.iter().map(|s| resolve(arena, consts, params, store, input, s)),
+                instr.srcs.iter().map(|s| resolve(arena, consts, input, s)),
                 *axis as isize,
                 dst,
             );
@@ -151,7 +145,7 @@ fn exec_instr(
 /// from the model's [`PlanCache`](crate::PlanCache) behind a mutex, so a
 /// single allocation-free instance is reused across requests.
 pub struct PlanExecutor {
-    plan: Plan,
+    plan: Arc<Plan>,
     arena: Vec<Tensor>,
     /// Staging buffer for rank-promoting single-window requests into the
     /// traced batch shape without an `unsqueeze` clone.
@@ -162,8 +156,10 @@ pub struct PlanExecutor {
 
 impl PlanExecutor {
     /// Preallocates the arena for `plan`: one tensor per slot with capacity
-    /// for the slot's peak element count.
-    pub fn new(plan: Plan) -> Self {
+    /// for the slot's peak element count. Pass an `Arc<Plan>` to share one
+    /// plan's constants between executors.
+    pub fn new(plan: impl Into<Arc<Plan>>) -> Self {
+        let plan = plan.into();
         let arena = plan.slot_numel.iter().map(|&n| Tensor::with_capacity(n)).collect();
         let staged = Tensor::with_capacity(plan.input_shape.iter().product());
         Self { plan, arena, staged, profiled: false }
@@ -184,7 +180,12 @@ impl PlanExecutor {
     ///
     /// The first call additionally records per-op `plan.op.*` spans; every
     /// call runs under a `plan.execute` span.
-    pub fn run(&mut self, store: &ParamStore, input: &Tensor, out: &mut Tensor) {
+    ///
+    /// A run that panics leaves the executor usable: each instruction
+    /// rewrites its whole destination slot before any later instruction
+    /// reads it, and the `_into` kernels resize a slot the panic left
+    /// empty.
+    pub fn run(&mut self, input: &Tensor, out: &mut Tensor) {
         let _timer = enhancenet_telemetry::span("plan.execute");
         let Self { plan, arena, staged, profiled } = self;
         let squeeze_out = input.shape() != plan.input_shape;
@@ -203,11 +204,11 @@ impl PlanExecutor {
         for instr in plan.instrs.iter() {
             let _op_timer = (!*profiled).then(|| enhancenet_telemetry::span(op_label(&instr.op)));
             let mut dst = mem::take(&mut arena[instr.dst]);
-            exec_instr(instr, &mut dst, arena, &plan.consts, &plan.params, store, x);
+            exec_instr(instr, &mut dst, arena, &plan.consts, x);
             arena[instr.dst] = dst;
         }
         *profiled = true;
-        let y = resolve(arena, &plan.consts, &plan.params, store, x, &plan.out);
+        let y = resolve(arena, &plan.consts, x, &plan.out);
         if squeeze_out {
             out.copy_from_with_shape(&plan.output_shape[1..], y.data());
         } else {

@@ -4,6 +4,18 @@
 //! mutate values in place; `Graph::write_grads` accumulates into the grads.
 
 use enhancenet_tensor::Tensor;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Source of every store version in the process, so a version names one
+/// state of one store: two stores never share a version, not even a fresh
+/// store and a copy of it.
+static NEXT_VERSION: AtomicU64 = AtomicU64::new(1);
+
+/// `Relaxed` suffices: the counter publishes no other data, and every
+/// `fetch_add` returns a value no other call returns.
+fn fresh_version() -> u64 {
+    NEXT_VERSION.fetch_add(1, Ordering::Relaxed)
+}
 
 /// Handle to a parameter in a [`ParamStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -17,22 +29,28 @@ struct Param {
 }
 
 /// Collection of trainable parameters for one model.
-#[derive(Default)]
 pub struct ParamStore {
     params: Vec<Param>,
-    /// Bumped whenever parameter *values* change; lets downstream caches
-    /// (e.g. DFGN's prediction-phase generated filters) invalidate cheaply.
+    /// Redrawn from a process-wide counter whenever the parameter set or a
+    /// value changes; keys compiled plans and the top-k pattern memo.
     version: u64,
+}
+
+impl Default for ParamStore {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl ParamStore {
     /// An empty store.
     pub fn new() -> Self {
-        Self::default()
+        Self { params: Vec::new(), version: fresh_version() }
     }
 
-    /// Monotone counter of value mutations. Equal versions imply unchanged
-    /// parameter values.
+    /// The store's current state, drawn from one process-wide counter:
+    /// it grows with every mutation, and equal versions imply the same
+    /// store with unchanged parameter values, across all stores.
     pub fn version(&self) -> u64 {
         self.version
     }
@@ -42,6 +60,7 @@ impl ParamStore {
     /// though scoped names (`"encoder.gru0.w_r"`) make reports readable.
     pub fn add(&mut self, name: impl Into<String>, value: Tensor) -> ParamId {
         let id = ParamId(self.params.len() as u32);
+        self.version = fresh_version();
         let grad = Tensor::zeros(value.shape());
         self.params.push(Param { name: name.into(), value, grad, frozen: false });
         id
@@ -55,7 +74,7 @@ impl ParamStore {
     /// Mutable value (used by optimizers and by tests that perturb weights).
     /// Bumps the store version.
     pub fn value_mut(&mut self, id: ParamId) -> &mut Tensor {
-        self.version += 1;
+        self.version = fresh_version();
         &mut self.params[id.0 as usize].value
     }
 
@@ -122,7 +141,7 @@ impl ParamStore {
     /// optimizer hook; frozen parameters are skipped). Bumps the store
     /// version.
     pub fn for_each_mut(&mut self, mut f: impl FnMut(usize, &mut Tensor, &Tensor)) {
-        self.version += 1;
+        self.version = fresh_version();
         for (i, p) in self.params.iter_mut().enumerate() {
             if !p.frozen {
                 f(i, &mut p.value, &p.grad);
@@ -158,7 +177,7 @@ impl ParamStore {
     /// Panics when the snapshot does not match the store layout.
     pub fn restore(&mut self, snapshot: &[Tensor]) {
         assert_eq!(snapshot.len(), self.params.len(), "snapshot layout mismatch");
-        self.version += 1;
+        self.version = fresh_version();
         for (p, s) in self.params.iter_mut().zip(snapshot) {
             assert_eq!(p.value.shape(), s.shape(), "snapshot shape mismatch for {}", p.name);
             p.value = s.clone();
@@ -233,6 +252,18 @@ mod tests {
         s.unfreeze(a);
         s.for_each_mut(|_, v, g| v.axpy(-1.0, g));
         assert_eq!(s.value(a).data(), &[0.0]);
+    }
+
+    #[test]
+    fn versions_are_unique_across_stores_and_grow_on_mutation() {
+        let mut a = ParamStore::new();
+        let b = ParamStore::new();
+        assert_ne!(a.version(), b.version());
+        let v0 = a.version();
+        let id = a.add("w", Tensor::ones(&[1]));
+        let v1 = a.version();
+        a.value_mut(id);
+        assert!(v0 < v1 && v1 < a.version());
     }
 
     #[test]

@@ -8,48 +8,45 @@
 //! same tensor kernels as the tape (every kernel's `_into` form), so plan
 //! and tape outputs are bitwise identical.
 //!
-//! # Leaf classification
+//! # Folding
 //!
-//! Tape leaves fall into three classes with different lifetimes:
-//!
-//! * **Parameters** ([`Graph::param`]) — resolved live from the
-//!   [`ParamStore`] on every execution; never copied into the plan.
-//! * **Inputs** ([`Graph::input`]) — per-request data, rebound on every
-//!   execution. Exactly one reachable input leaf is required; a trace with
-//!   none (the model baked the window into constants) or several cannot be
-//!   replayed against fresh data and fails compilation.
-//! * **Constants** ([`Graph::constant`]) — trace-time values cloned into the
-//!   plan once. Constants derived from *parameters* (folded supports,
-//!   generated filters) are safe because plans are keyed by
-//!   [`ParamStore::version`]; constants derived from the *input* are exactly
-//!   what the input-leaf requirement rules out.
+//! A plan is a pure function of the store it was traced from. Exactly one
+//! reachable leaf must be marked with [`Graph::input`]; a trace with none
+//! (the model baked the window into constants) or several cannot be
+//! replayed against fresh data and fails compilation. Every reachable node
+//! with no path from that input — parameter leaves, trace constants, and
+//! everything computed from them alone (DFGN filters, the DAMGN folds, and
+//! their slices and reshapes) — is folded into a plan constant holding its
+//! trace-time value. Only the nodes an input-dependent node reads are kept,
+//! so the parameter-only interior never reaches the instruction list. This
+//! is §VI-B4's "in the prediction phase, we do not need to use DFGN
+//! anymore", made generic: whatever training has fixed is computed once,
+//! at trace time.
 //!
 //! # Caching
 //!
 //! [`PlanCache`] keys compiled executors by `(input shape, store version)`.
-//! A hot parameter swap bumps the store version, so every cached plan for
-//! the old weights is unreachable after the swap and is evicted on the next
-//! insert. Models whose forward cannot be compiled (no marked input) are
-//! remembered via the `unplannable` flag so the serving path does not
-//! re-trace on every request just to fail again.
+//! Store versions are unique across the process, so a weight change makes
+//! every cached plan for the old weights unreachable, and it is evicted on
+//! the next insert. Models whose forward cannot be compiled (no marked
+//! input) are remembered via the `unplannable` flag so the serving path
+//! does not re-trace on every request just to fail again.
 
 use crate::graph::{Graph, Op, Var};
-use crate::params::{ParamId, ParamStore};
+use crate::params::ParamStore;
 use enhancenet_tensor::Tensor;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use crate::exec::PlanExecutor;
+use crate::exec::{op_label, PlanExecutor};
 
 /// Where an instruction operand comes from at execution time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum Src {
     /// An arena slot written by an earlier instruction.
     Slot(usize),
-    /// A trace-time constant stored in the plan.
+    /// A trace-time value folded into the plan.
     Const(usize),
-    /// A parameter, resolved live from the store (index into `Plan::params`).
-    Param(usize),
     /// The per-request input tensor.
     Input,
 }
@@ -68,13 +65,12 @@ pub(crate) struct Instr {
 pub struct Plan {
     pub(crate) instrs: Vec<Instr>,
     pub(crate) consts: Vec<Tensor>,
-    pub(crate) params: Vec<ParamId>,
     pub(crate) out: Src,
     /// Peak element count per arena slot, for preallocation.
     pub(crate) slot_numel: Vec<usize>,
     pub(crate) input_shape: Vec<usize>,
     pub(crate) output_shape: Vec<usize>,
-    /// Store version the trace (and its baked constants) was taken at.
+    /// Store version the trace (and its folded constants) was taken at.
     pub(crate) version: u64,
 }
 
@@ -110,87 +106,87 @@ impl Plan {
     /// Lowers the traced forward ending at `output` into a plan.
     ///
     /// Walks the reachable subgraph in tape order (the tape is already
-    /// topological), classifies leaves, assigns arena slots by liveness
-    /// (last-use analysis with LIFO slot reuse), and records the store
-    /// version for cache keying.
+    /// topological), folds every node the input does not reach into a
+    /// constant (see the module docs), assigns arena slots by liveness
+    /// (last-use analysis with LIFO slot reuse), and records the version
+    /// of `store`, the store the trace read its parameters from.
     pub fn compile(graph: &Graph, output: Var, store: &ParamStore) -> Result<Plan, PlanError> {
         let _timer = enhancenet_telemetry::span("plan.compile");
         let out_idx = output.0 as usize;
+        let nodes = &graph.nodes[..=out_idx];
 
         // Reachability: which nodes feed the output.
-        let mut reachable = vec![false; graph.nodes.len()];
+        let mut reachable = vec![false; nodes.len()];
         reachable[out_idx] = true;
-        for i in (0..=out_idx).rev() {
-            if !reachable[i] {
-                continue;
-            }
-            for &inp in &graph.nodes[i].inputs {
-                reachable[inp.0 as usize] = true;
+        for i in (0..nodes.len()).rev() {
+            if reachable[i] {
+                for &inp in &nodes[i].inputs {
+                    reachable[inp.0 as usize] = true;
+                }
             }
         }
 
-        let input_set: Vec<usize> = graph.inputs.iter().map(|v| v.0 as usize).collect();
-
-        // Classify every reachable node: leaves become Const/Param/Input
-        // sources, interior nodes become instructions (sources still named
-        // by node index; slots are assigned in the liveness pass below).
-        #[derive(Clone)]
-        enum NodeRef {
-            Pending(usize), // interior node -> index into `instrs`
-            Fixed(Src),     // leaf
-        }
-        let mut node_ref: Vec<Option<NodeRef>> = vec![None; graph.nodes.len()];
-        let mut instrs: Vec<Instr> = Vec::new();
-        let mut instr_node: Vec<usize> = Vec::new(); // instr index -> node index
-        let mut consts: Vec<Tensor> = Vec::new();
-        let mut params: Vec<ParamId> = Vec::new();
+        // Input dependence: a node is computed per request iff a path leads
+        // to it from an input leaf. Everything else is folded.
+        let mut live = vec![false; nodes.len()];
         let mut inputs_seen = 0usize;
         let mut input_shape: Vec<usize> = Vec::new();
-
-        for (i, node) in graph.nodes.iter().enumerate().take(out_idx + 1) {
-            if !reachable[i] {
-                continue;
-            }
-            if matches!(node.op, Op::Leaf) {
-                let src = if let Some(pid) = node.param {
-                    let idx = params.iter().position(|&p| p == pid).unwrap_or_else(|| {
-                        params.push(pid);
-                        params.len() - 1
-                    });
-                    Src::Param(idx)
-                } else if input_set.contains(&i) {
-                    inputs_seen += 1;
-                    input_shape = node.value.shape().to_vec();
-                    Src::Input
-                } else {
-                    consts.push(node.value.clone());
-                    Src::Const(consts.len() - 1)
-                };
-                node_ref[i] = Some(NodeRef::Fixed(src));
-            } else {
-                let srcs = node
-                    .inputs
-                    .iter()
-                    .map(|v| match node_ref[v.0 as usize].as_ref().expect("tape is topological") {
-                        NodeRef::Pending(instr_idx) => Src::Slot(*instr_idx), // rewritten below
-                        NodeRef::Fixed(src) => src.clone(),
-                    })
-                    .collect();
-                instrs.push(Instr {
-                    op: node.op.clone(),
-                    srcs,
-                    dst: usize::MAX,
-                    out_shape: node.value.shape().to_vec(),
-                });
-                instr_node.push(i);
-                node_ref[i] = Some(NodeRef::Pending(instrs.len() - 1));
+        for &v in &graph.inputs {
+            let i = v.0 as usize;
+            if i < nodes.len() && reachable[i] {
+                live[i] = true;
+                inputs_seen += 1;
+                input_shape = nodes[i].value.shape().to_vec();
             }
         }
-
         match inputs_seen {
             0 => return Err(PlanError::NoInput),
             1 => {}
             n => return Err(PlanError::MultipleInputs(n)),
+        }
+        for (i, node) in nodes.iter().enumerate() {
+            if reachable[i] && !live[i] {
+                live[i] = node.inputs.iter().any(|v| live[v.0 as usize]);
+            }
+        }
+
+        // Lower the live nodes to instructions (sources still named by
+        // instruction index; slots are assigned in the liveness pass
+        // below). A folded node becomes one constant, however many
+        // instructions read it.
+        let mut instr_of: Vec<Option<usize>> = vec![None; nodes.len()];
+        let mut const_of: Vec<Option<usize>> = vec![None; nodes.len()];
+        let mut instrs: Vec<Instr> = Vec::new();
+        let mut consts: Vec<Tensor> = Vec::new();
+        let mut fold = |i: usize| {
+            *const_of[i].get_or_insert_with(|| {
+                consts.push(nodes[i].value.clone());
+                consts.len() - 1
+            })
+        };
+        for (i, node) in nodes.iter().enumerate() {
+            if !live[i] || matches!(node.op, Op::Leaf) {
+                continue;
+            }
+            let srcs = node
+                .inputs
+                .iter()
+                .map(|v| {
+                    let j = v.0 as usize;
+                    match instr_of[j] {
+                        Some(producer) => Src::Slot(producer), // rewritten below
+                        None if live[j] => Src::Input,
+                        None => Src::Const(fold(j)),
+                    }
+                })
+                .collect();
+            instrs.push(Instr {
+                op: node.op.clone(),
+                srcs,
+                dst: usize::MAX,
+                out_shape: node.value.shape().to_vec(),
+            });
+            instr_of[i] = Some(instrs.len() - 1);
         }
 
         // Liveness: the last instruction consuming each instruction's
@@ -203,13 +199,9 @@ impl Plan {
                 }
             }
         }
-        let out_instr = match node_ref[out_idx].as_ref().expect("output is reachable") {
-            NodeRef::Pending(idx) => {
-                last_use[*idx] = usize::MAX;
-                Some(*idx)
-            }
-            NodeRef::Fixed(_) => None,
-        };
+        if let Some(out_instr) = instr_of[out_idx] {
+            last_use[out_instr] = usize::MAX;
+        }
 
         // Slot assignment: LIFO reuse of dead slots. The destination is
         // allocated *before* dying sources are released, so an `_into`
@@ -243,16 +235,17 @@ impl Plan {
             instr.dst = slot_of_instr[i];
         }
 
-        let out = match node_ref[out_idx].as_ref().expect("output is reachable") {
-            NodeRef::Pending(_) => Src::Slot(slot_of_instr[out_instr.expect("interior output")]),
-            NodeRef::Fixed(src) => src.clone(),
+        // The output is input-dependent (an input was found), so it is
+        // either the input leaf itself or an instruction.
+        let out = match instr_of[out_idx] {
+            Some(out_instr) => Src::Slot(slot_of_instr[out_instr]),
+            None => Src::Input,
         };
-        let output_shape = graph.nodes[out_idx].value.shape().to_vec();
+        let output_shape = nodes[out_idx].value.shape().to_vec();
 
         Ok(Plan {
             instrs,
             consts,
-            params,
             out,
             slot_numel,
             input_shape,
@@ -285,6 +278,17 @@ impl Plan {
     pub fn arena_bytes(&self) -> usize {
         self.slot_numel.iter().sum::<usize>() * std::mem::size_of::<f32>()
     }
+
+    /// Bytes of folded trace-time constants the plan holds.
+    pub fn const_bytes(&self) -> usize {
+        self.consts.iter().map(Tensor::numel).sum::<usize>() * std::mem::size_of::<f32>()
+    }
+
+    /// The op of every instruction, in execution order, with its output
+    /// shape: what a compile produced, independent of slot numbering.
+    pub fn op_shapes(&self) -> Vec<(&'static str, &[usize])> {
+        self.instrs.iter().map(|i| (op_label(&i.op), i.out_shape.as_slice())).collect()
+    }
 }
 
 struct CacheEntry {
@@ -305,6 +309,13 @@ pub struct PlanCache {
     inner: Mutex<CacheInner>,
 }
 
+/// Locks the cache, recovering the guard if a holder panicked: every update
+/// of the entry list is one `retain` or `push`, so it is never left
+/// half-done.
+fn recover<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
+    lock.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 impl Default for PlanCache {
     fn default() -> Self {
         Self::new()
@@ -322,7 +333,7 @@ impl PlanCache {
     /// models already marked unplannable (those short-circuit in the
     /// caller via [`PlanCache::is_unplannable`]).
     pub fn lookup(&self, shape: &[usize], version: u64) -> Option<Arc<Mutex<PlanExecutor>>> {
-        let inner = self.inner.lock().expect("plan cache poisoned");
+        let inner = recover(&self.inner);
         let hit = inner
             .entries
             .iter()
@@ -339,9 +350,10 @@ impl PlanCache {
     }
 
     /// Caches a freshly compiled executor, evicting every entry compiled
-    /// against an older store version (a hot swap makes them unreachable).
+    /// against an older store version (a weight change makes them
+    /// unreachable).
     pub fn insert(&self, exec: PlanExecutor) -> Arc<Mutex<PlanExecutor>> {
-        let mut inner = self.inner.lock().expect("plan cache poisoned");
+        let mut inner = recover(&self.inner);
         let version = exec.plan().version;
         let input_shape = exec.plan().input_shape.clone();
         inner.entries.retain(|e| e.version >= version);
@@ -353,16 +365,16 @@ impl PlanCache {
     /// Records that this model's trace cannot be compiled; future requests
     /// skip tracing and go straight to the tape.
     pub fn mark_unplannable(&self) {
-        self.inner.lock().expect("plan cache poisoned").unplannable = true;
+        recover(&self.inner).unplannable = true;
     }
 
     /// True when a previous compile failed structurally.
     pub fn is_unplannable(&self) -> bool {
-        self.inner.lock().expect("plan cache poisoned").unplannable
+        recover(&self.inner).unplannable
     }
 
     /// Number of live cached plans (test hook).
     pub fn entry_count(&self) -> usize {
-        self.inner.lock().expect("plan cache poisoned").entries.len()
+        recover(&self.inner).entries.len()
     }
 }

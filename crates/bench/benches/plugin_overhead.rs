@@ -94,25 +94,18 @@ fn bench_prediction_matrix(c: &mut Criterion) {
     );
 }
 
-/// The raw generator cost: DFGN uncached vs served from the cache.
+/// The raw generator cost: what a plan compile pays once per weight
+/// version to fold the filters.
 fn bench_dfgn_generation(c: &mut Criterion) {
     let mut store = ParamStore::new();
     let mut rng = TensorRng::seed(2);
     // LA-sized: 207 entities, GRU filters for C = 2, C' = 16.
     let o = enhancenet::gru_filter_dim(2, 16);
     let dfgn = Dfgn::new(&mut store, &mut rng, "bench", 207, o, DfgnConfig::default());
-    c.bench_function("dfgn_generate_207_uncached", |b| {
+    c.bench_function("dfgn_generate_207", |b| {
         b.iter(|| {
             let mut g = Graph::new();
             let y = dfgn.generate(&mut g, &store);
-            black_box(g.value(y).clone())
-        });
-    });
-    let cache = enhancenet::FilterCache::new();
-    c.bench_function("dfgn_generate_207_cached", |b| {
-        b.iter(|| {
-            let mut g = Graph::new();
-            let y = dfgn.generate_cached(&mut g, &store, &cache, false);
             black_box(g.value(y).clone())
         });
     });

@@ -35,7 +35,7 @@
 //! its SLO.
 
 use enhancenet::prelude::*;
-use enhancenet_models::{GruSeq2Seq, ModelDims, TemporalMode};
+use enhancenet_models::{GruSeq2Seq, ModelDims};
 use enhancenet_tensor::{Tensor, TensorRng};
 use std::time::{Duration, Instant};
 
@@ -50,8 +50,10 @@ fn dims() -> ModelDims {
     ModelDims { num_entities: N, in_features: C, hidden: 8, input_len: H, output_len: F }
 }
 
+/// D-RNN: per-entity DFGN filters, so the post-swap parity probe covers a
+/// host whose served plan folds parameter-derived values.
 fn host(seed: u64) -> GruSeq2Seq {
-    GruSeq2Seq::rnn(dims(), 1, TemporalMode::Shared, seed)
+    GruSeq2Seq::paper_d_rnn(dims(), 1, seed)
 }
 
 fn scaler() -> StandardScaler {

@@ -19,11 +19,18 @@
 //! * The λ's are **learnable scalars** — "instead of manually tuning them we
 //!   decide to let the network learn them"; with `λ_B = λ_C = 0` the module
 //!   reduces to ordinary graph convolution over `A`.
+//!
+//! At prediction time the static part `λ_A·A + λ_B·B` is fixed. Hosts trace
+//! it on every tape; a compiled plan folds it into constants, because it
+//! does not depend on the request (see `enhancenet_autodiff::Plan`). The
+//! one value this module memoises itself is the top-k pattern
+//! ([`Damgn::shared_topk_pattern`]): sharded training builds it once per
+//! optimizer step and shares it across the step's window tapes.
 
 use crate::gconv::GcSupport;
 use enhancenet_autodiff::{Graph, ParamId, ParamStore, Var};
 use enhancenet_tensor::{CsrMatrix, Tensor, TensorRng, TopkPattern};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 /// DAMGN hyper-parameters. Paper default: `M = 10` for the `B₁`, `B₂`
@@ -49,7 +56,7 @@ impl Default for DamgnConfig {
     }
 }
 
-/// Per-tape cache produced by [`Damgn::bind`]: the static mix
+/// Per-tape binding produced by [`Damgn::bind`]: the static mix
 /// `λ_A·A_s + λ_B·B` per support plus the bound λ_C and θ/φ embeddings.
 pub struct DamgnBinding {
     static_parts: Vec<Var>,
@@ -58,7 +65,7 @@ pub struct DamgnBinding {
     phi: Var,
 }
 
-/// Per-tape cache produced by [`Damgn::bind_sparse`]: the shared top-k
+/// Per-tape binding produced by [`Damgn::bind_sparse`]: the shared top-k
 /// candidate pattern, the pre-weighted sparse static values `λ_B·B`
 /// (`[N, K]`), and the bound scalars/embeddings the per-timestep sparse
 /// supports are assembled from.
@@ -90,62 +97,6 @@ impl DamgnSparseBinding {
     }
 }
 
-/// Version-keyed cache of the folded static component `λ_A·A_s + λ_B·B`
-/// (one tensor per base support) and, on the top-k path, of the shared
-/// candidate pattern.
-///
-/// During training the static mix depends on live parameters and must stay
-/// on the tape, but between optimizer steps it is constant — recomputing
-/// the `B₁ B₂ᵀ` softmax and the per-support folds for every window is pure
-/// waste in a serving loop. The cache keys the folded tensors on
-/// [`ParamStore::version`], so any weight update (an optimizer step, a
-/// checkpoint restore) invalidates it automatically. Cache hits splice the
-/// stored values back in as constants — the exact tensors the tracked path
-/// produced, so eval outputs are bit-identical with or without the cache.
-///
-/// The top-k pattern is an index set that carries no gradient, so sparse
-/// *training* forwards share it too: the first window tape of a step builds
-/// it under the lock (the other shards wait rather than build it again) and
-/// stores the same entry an eval forward would, and every later tape of
-/// that store version reads it. Dense training forwards return before
-/// touching the lock. A `Mutex` (not `RefCell`) so host models stay `Sync`
-/// — shard workers in the data-parallel trainer share one
-/// `&dyn Forecaster`.
-#[derive(Default)]
-pub struct StaticFoldCache {
-    slot: Mutex<Option<(u64, FoldEntry)>>,
-}
-
-/// What a [`StaticFoldCache`] holds: the folded dense static mixes, or the
-/// sparse pattern plus folded `λ_B·B` values for the top-k path.
-enum FoldEntry {
-    Dense(Vec<Tensor>),
-    Sparse { pattern: Arc<TopkPattern>, weighted_b: Tensor },
-}
-
-impl StaticFoldCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// True once a folded static component is stored.
-    pub fn is_populated(&self) -> bool {
-        self.slot.lock().unwrap().is_some()
-    }
-
-    /// The stored top-k pattern, when it was built for store `version`
-    /// with `k` columns per row.
-    pub fn topk_pattern(&self, version: u64, k: usize) -> Option<Arc<TopkPattern>> {
-        match self.slot.lock().expect("fold cache poisoned by a panicking forward").as_ref() {
-            Some((v, FoldEntry::Sparse { pattern, .. })) if *v == version && pattern.k() == k => {
-                Some(pattern.clone())
-            }
-            _ => None,
-        }
-    }
-}
-
 /// One DAMGN instance: memories for `B`, embeddings for `C_t`, and the
 /// mixing weights.
 pub struct Damgn {
@@ -158,6 +109,9 @@ pub struct Damgn {
     lambda_c: ParamId,
     num_entities: usize,
     top_k: Option<usize>,
+    /// The last top-k pattern built, keyed by the store version it was
+    /// built for; see [`Damgn::shared_topk_pattern`].
+    pattern_memo: Mutex<Option<(u64, Arc<TopkPattern>)>>,
 }
 
 impl Damgn {
@@ -187,6 +141,7 @@ impl Damgn {
             lambda_c: store.add(format!("{name}.lambda_c"), Tensor::scalar(0.1)),
             num_entities,
             top_k: config.top_k.map(|k| k.min(num_entities)),
+            pattern_memo: Mutex::new(None),
         }
     }
 
@@ -318,53 +273,14 @@ impl Damgn {
         }
     }
 
-    /// [`Damgn::bind`] with the static fold served from `cache` on eval
-    /// paths.
-    ///
-    /// Training forwards always take the tracked path (gradients must flow
-    /// through λ_A, λ_B and the memories). Eval forwards reuse the cached
-    /// `λ_A·A_s + λ_B·B` tensors as constants while the store version
-    /// matches, recomputing (and re-caching) after any weight change.
-    /// Telemetry: `damgn.fold.hits` / `damgn.fold.misses`.
-    pub fn bind_cached(
-        &self,
-        g: &mut Graph,
-        store: &ParamStore,
-        base_supports: &[Var],
-        cache: &StaticFoldCache,
-        training: bool,
-    ) -> DamgnBinding {
-        if training {
-            return self.bind(g, store, base_supports);
-        }
-        let mut slot = cache.slot.lock().unwrap();
-        if let Some((version, FoldEntry::Dense(parts))) = slot.as_ref() {
-            if *version == store.version() && parts.len() == base_supports.len() {
-                enhancenet_telemetry::count("damgn.fold.hits", 1);
-                return DamgnBinding {
-                    static_parts: parts.iter().map(|t| g.constant(t.clone())).collect(),
-                    lambda_c: g.param(store, self.lambda_c),
-                    theta: g.param(store, self.theta),
-                    phi: g.param(store, self.phi),
-                };
-            }
-        }
-        enhancenet_telemetry::count("damgn.fold.misses", 1);
-        let binding = self.bind(g, store, base_supports);
-        let folded: Vec<Tensor> =
-            binding.static_parts.iter().map(|&v| g.value(v).clone()).collect();
-        *slot = Some((store.version(), FoldEntry::Dense(folded)));
-        binding
-    }
-
     /// Builds the shared top-k candidate pattern from the current `B₁`/`B₂`
     /// memories: row `i` keeps the `k` columns with the largest raw memory
     /// scores `B₁[i]·B₂[j]` (ties to the smaller column, NaN last;
     /// ReLU-dead rows keep their diagonal so the self-loop fallback has a
     /// slot). `O(N²·M)` per build: `B₂` is transposed once, each score row
     /// is computed across all columns at once (`memory_scores`), and rows
-    /// run in rayon bands with scratch-pool buffers. Every forward — training
-    /// and eval — reaches it through [`Damgn::bind_sparse_cached`], which
+    /// run in rayon bands with scratch-pool buffers. Builds on every call;
+    /// forwards reach it through [`Damgn::shared_topk_pattern`], which
     /// builds once per store version. Telemetry: `damgn.topk.*`.
     pub fn topk_pattern(&self, store: &ParamStore, k: usize) -> Arc<TopkPattern> {
         let _timer = enhancenet_telemetry::span("damgn.topk.build");
@@ -384,6 +300,33 @@ impl Damgn {
             enhancenet_telemetry::count("damgn.topk.nnz", pattern.nnz() as u64);
         }
         Arc::new(pattern)
+    }
+
+    /// The top-k pattern of `store`'s weights, built at most once per
+    /// store version and `k`: every forward of one store state shares one
+    /// build, whichever thread traces it.
+    ///
+    /// The pattern is an index set that carries no gradient, so training
+    /// tapes share it too: the first window tape of a sharded step builds
+    /// it under the memo's lock (the other shards wait rather than build
+    /// it again), and validation, evaluation, plan compiles and the
+    /// graph-health probe reuse the build of the weights they run on. The
+    /// key is sound across stores because [`ParamStore::version`] is
+    /// unique process-wide: a snapshot copy gets its own build.
+    pub fn shared_topk_pattern(&self, store: &ParamStore, k: usize) -> Arc<TopkPattern> {
+        let mut memo = self.pattern_memo.lock().unwrap_or_else(PoisonError::into_inner);
+        match memo.as_ref() {
+            Some((version, pattern))
+                if *version == store.version() && pattern.k() == k.min(self.num_entities) =>
+            {
+                pattern.clone()
+            }
+            _ => {
+                let pattern = self.topk_pattern(store, k);
+                *memo = Some((store.version(), pattern.clone()));
+                pattern
+            }
+        }
     }
 
     /// Sparse Eq. 15 restricted to `pattern`: gathers the `[N, K]` memory
@@ -449,58 +392,6 @@ impl Damgn {
             theta: g.param(store, self.theta),
             phi: g.param(store, self.phi),
         }
-    }
-
-    /// [`Damgn::bind_sparse`] with the pattern build and `λ_B·B` fold
-    /// served from `cache`, keyed on [`ParamStore::version`] exactly like
-    /// the dense fold, so the pattern is built once per store version.
-    ///
-    /// A miss builds the pattern and binds on the tape while holding the
-    /// cache lock, then stores both: concurrent shard tapes of the same step
-    /// wait for that one build instead of repeating it. A hit serves the
-    /// pattern; eval forwards also take the folded `λ_B·B` as a constant,
-    /// while training forwards recompute `λ_B·B` on their own tape so
-    /// gradients still flow through λ_B and the retained scores (the pattern
-    /// itself is an index set with no gradient). Telemetry:
-    /// `damgn.fold.hits` / `.misses`.
-    pub fn bind_sparse_cached(
-        &self,
-        g: &mut Graph,
-        store: &ParamStore,
-        k: usize,
-        cache: &StaticFoldCache,
-        training: bool,
-    ) -> DamgnSparseBinding {
-        let mut slot = cache.slot.lock().unwrap();
-        if let Some((version, FoldEntry::Sparse { pattern, weighted_b })) = slot.as_ref() {
-            if *version == store.version() && pattern.k() == k.min(self.num_entities) {
-                enhancenet_telemetry::count("damgn.fold.hits", 1);
-                if training {
-                    let pattern = pattern.clone();
-                    drop(slot);
-                    return self.bind_sparse(g, store, pattern);
-                }
-                return DamgnSparseBinding {
-                    pattern: pattern.clone(),
-                    weighted_b: g.constant(weighted_b.clone()),
-                    lambda_a: g.param(store, self.lambda_a),
-                    lambda_c: g.param(store, self.lambda_c),
-                    theta: g.param(store, self.theta),
-                    phi: g.param(store, self.phi),
-                };
-            }
-        }
-        enhancenet_telemetry::count("damgn.fold.misses", 1);
-        let pattern = self.topk_pattern(store, k);
-        let binding = self.bind_sparse(g, store, pattern);
-        *slot = Some((
-            store.version(),
-            FoldEntry::Sparse {
-                pattern: binding.pattern.clone(),
-                weighted_b: g.value(binding.weighted_b).clone(),
-            },
-        ));
-        binding
     }
 
     /// The sparse per-timestep supports: computes the top-k `C_t` once from
@@ -699,64 +590,6 @@ mod tests {
         assert!(g.value(via_binding[0]).allclose(g.value(direct), 1e-5));
     }
 
-    #[test]
-    fn fold_cache_matches_tracked_bind_bitwise() {
-        let (store, d) = make(4, 2);
-        let cache = StaticFoldCache::new();
-        let a_t = Tensor::from_vec((0..16).map(|v| v as f32 * 0.05).collect(), &[4, 4]);
-        let mut rng = TensorRng::seed(6);
-        let x_t = rng.normal(&[2, 4, 2], 0.0, 1.0);
-        let run = |use_cache: bool| {
-            let mut g = Graph::new();
-            let a = g.constant(a_t.clone());
-            let x = g.constant(x_t.clone());
-            let binding = if use_cache {
-                d.bind_cached(&mut g, &store, &[a], &cache, false)
-            } else {
-                d.bind(&mut g, &store, &[a])
-            };
-            let out = d.dynamic_supports_at(&mut g, &binding, x);
-            g.value(out[0]).clone()
-        };
-        let tracked = run(false);
-        let miss = run(true); // populates the cache
-        assert!(cache.is_populated());
-        let hit = run(true); // serves the folded constants
-        assert_eq!(tracked.data(), miss.data());
-        assert_eq!(tracked.data(), hit.data());
-    }
-
-    #[test]
-    fn fold_cache_invalidates_on_weight_update() {
-        let (mut store, d) = make(3, 2);
-        let cache = StaticFoldCache::new();
-        let mut g = Graph::new();
-        let a = g.constant(Tensor::eye(3));
-        let _ = d.bind_cached(&mut g, &store, &[a], &cache, false);
-        let v0 = store.version();
-        *store.value_mut(d.lambda_ids().0) = Tensor::scalar(2.0);
-        assert!(store.version() > v0);
-        // The next eval bind must refold with λ_A = 2, matching a fresh
-        // tracked bind rather than serving the stale cache entry.
-        let mut g2 = Graph::new();
-        let a2 = g2.constant(Tensor::eye(3));
-        let cached = d.bind_cached(&mut g2, &store, &[a2], &cache, false);
-        let mut g3 = Graph::new();
-        let a3 = g3.constant(Tensor::eye(3));
-        let fresh = d.bind(&mut g3, &store, &[a3]);
-        assert_eq!(g2.value(cached.static_parts[0]).data(), g3.value(fresh.static_parts[0]).data());
-    }
-
-    #[test]
-    fn training_bind_skips_the_cache() {
-        let (store, d) = make(3, 2);
-        let cache = StaticFoldCache::new();
-        let mut g = Graph::new();
-        let a = g.constant(Tensor::eye(3));
-        let _ = d.bind_cached(&mut g, &store, &[a], &cache, true);
-        assert!(!cache.is_populated(), "dense training forwards must not populate the fold cache");
-    }
-
     /// Pins memories so that entity 0's scores are fully ReLU-pruned while
     /// the other rows keep positive survivors and at least one pruned entry.
     fn make_with_dead_row(n: usize) -> (ParamStore, Damgn, usize) {
@@ -909,39 +742,6 @@ mod tests {
     }
 
     #[test]
-    fn sparse_fold_cache_matches_tracked_bind_bitwise() {
-        let n = 5;
-        let (store, d) = make(n, 2);
-        let cache = StaticFoldCache::new();
-        let mut rng = TensorRng::seed(7);
-        let a_t = rng.uniform(&[n, n], 0.0, 0.5);
-        let x_t = rng.normal(&[2, n, 2], 0.0, 1.0);
-        let sig_t = rng.normal(&[2, n, 3], 0.0, 1.0);
-        let csr = Arc::new(enhancenet_tensor::CsrMatrix::from_dense(&a_t));
-        let csr_t = Arc::new(csr.transpose());
-        let run = |use_cache: bool| {
-            let mut g = Graph::new();
-            let x = g.constant(x_t.clone());
-            let sig = g.constant(sig_t.clone());
-            let binding = if use_cache {
-                d.bind_sparse_cached(&mut g, &store, 3, &cache, false)
-            } else {
-                let pattern = d.topk_pattern(&store, 3);
-                d.bind_sparse(&mut g, &store, pattern)
-            };
-            let s = d.sparse_supports_at(&mut g, &binding, &[(csr.clone(), csr_t.clone())], x);
-            let out = s[0].apply(&mut g, sig);
-            g.value(out).clone()
-        };
-        let tracked = run(false);
-        let miss = run(true);
-        assert!(cache.is_populated());
-        let hit = run(true);
-        assert_eq!(tracked.data(), miss.data());
-        assert_eq!(tracked.data(), hit.data());
-    }
-
-    #[test]
     fn memory_scores_match_the_iterator_sum_bitwise() {
         let (n, m) = (37, 10);
         let mut rng = TensorRng::seed(21);
@@ -960,12 +760,13 @@ mod tests {
         }
     }
 
-    /// Runs one sparse forward + backward through the cache and returns
-    /// the pattern it used and every parameter gradient.
+    /// Runs one sparse forward + backward, with the memoised pattern or a
+    /// fresh build, and returns the pattern it used and every parameter
+    /// gradient.
     fn sparse_step(
         d: &Damgn,
         store: &mut ParamStore,
-        cache: Option<&StaticFoldCache>,
+        shared: bool,
     ) -> (Arc<TopkPattern>, Vec<Vec<u32>>) {
         let n = d.num_entities();
         let mut rng = TensorRng::seed(5);
@@ -974,10 +775,9 @@ mod tests {
         let mut g = Graph::new();
         let x = g.constant(rng.normal(&[2, n, 2], 0.0, 1.0));
         let sig = g.constant(rng.normal(&[2, n, 3], 0.0, 1.0));
-        let binding = match cache {
-            Some(cache) => d.bind_sparse_cached(&mut g, store, 3, cache, true),
-            None => d.bind_sparse(&mut g, store, d.topk_pattern(store, 3)),
-        };
+        let pattern =
+            if shared { d.shared_topk_pattern(store, 3) } else { d.topk_pattern(store, 3) };
+        let binding = d.bind_sparse(&mut g, store, pattern);
         let supports = d.sparse_supports_at(&mut g, &binding, &[(csr, csr_t)], x);
         let out = supports[0].apply(&mut g, sig);
         let sq = g.square(out);
@@ -995,25 +795,34 @@ mod tests {
     #[test]
     fn training_binds_share_one_pattern_per_store_version() {
         let (mut store, d) = make(9, 2);
-        let cache = StaticFoldCache::new();
-        let (uncached_pattern, uncached_grads) = sparse_step(&d, &mut store, None);
-        let (first, first_grads) = sparse_step(&d, &mut store, Some(&cache));
-        let (second, second_grads) = sparse_step(&d, &mut store, Some(&cache));
+        let (fresh_pattern, fresh_grads) = sparse_step(&d, &mut store, false);
+        let (first, first_grads) = sparse_step(&d, &mut store, true);
+        let (second, second_grads) = sparse_step(&d, &mut store, true);
         // One build serves both tapes, and sharing it changes no gradient.
         assert!(Arc::ptr_eq(&first, &second), "second training tape rebuilt the pattern");
-        assert_eq!(*first, *uncached_pattern);
-        assert_eq!(first_grads, uncached_grads);
-        assert_eq!(second_grads, uncached_grads);
-        // An eval forward at the same version reuses the training build.
-        let mut g = Graph::new();
-        let eval = d.bind_sparse_cached(&mut g, &store, 3, &cache, false);
-        assert!(Arc::ptr_eq(eval.pattern(), &first));
-        assert!(Arc::ptr_eq(&cache.topk_pattern(store.version(), 3).unwrap(), &first));
-        assert!(cache.topk_pattern(store.version(), 4).is_none());
-        // A weight update invalidates it.
-        *store.value_mut(d.b_memory_ids().0) = store.value(d.b_memory_ids().0).map(|v| -v);
-        assert!(cache.topk_pattern(store.version(), 3).is_none());
-        let (rebuilt, _) = sparse_step(&d, &mut store, Some(&cache));
+        assert_eq!(*first, *fresh_pattern);
+        assert_eq!(first_grads, fresh_grads);
+        assert_eq!(second_grads, fresh_grads);
+        assert!(!Arc::ptr_eq(&d.shared_topk_pattern(&store, 4), &first), "k is part of the key");
+        // A weight update invalidates it, and so does another store with
+        // the same values.
+        let (b1, _) = d.b_memory_ids();
+        let copy = {
+            let mut copy = ParamStore::new();
+            for id in store.ids() {
+                copy.add(store.name(id), store.value(id).clone());
+            }
+            copy
+        };
+        let before_copy = d.shared_topk_pattern(&store, 3);
+        let on_copy = d.shared_topk_pattern(&copy, 3);
+        assert!(
+            !Arc::ptr_eq(&on_copy, &before_copy),
+            "a copy's version served another store's build"
+        );
+        assert_eq!(*on_copy, *before_copy);
+        *store.value_mut(b1) = store.value(b1).map(|v| -v);
+        let (rebuilt, _) = sparse_step(&d, &mut store, true);
         assert!(!Arc::ptr_eq(&rebuilt, &first), "stale pattern served after a weight update");
         assert_eq!(*rebuilt, *d.topk_pattern(&store, 3));
     }

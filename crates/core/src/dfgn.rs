@@ -10,6 +10,11 @@
 //! Gradients flow through the generated filters back into both the MLP and
 //! the memories, which is what lets the memories organize by temporal
 //! behaviour (Figures 10–11).
+//!
+//! At prediction time training has fixed the filters (§VI-B4: "we do not
+//! need to use DFGN anymore"). Hosts always trace [`Dfgn::generate`]; a
+//! compiled plan folds the generated filters into constants, because they
+//! do not depend on the request (see `enhancenet_autodiff::Plan`).
 
 use enhancenet_autodiff::{Graph, ParamId, ParamStore, Var};
 use enhancenet_nn::mlp::{Activation, Mlp};
@@ -30,29 +35,6 @@ pub struct DfgnConfig {
 impl Default for DfgnConfig {
     fn default() -> Self {
         Self { memory_dim: 16, hidden1: 16, hidden2: 4 }
-    }
-}
-
-/// Prediction-phase cache of generated filters, keyed by the store
-/// version. Owned by the host layer; see [`Dfgn::generate_cached`].
-///
-/// A `Mutex` (not `RefCell`) so host models stay `Sync` — shard workers in
-/// the data-parallel trainer share one `&dyn Forecaster`. Training forwards
-/// return before touching the lock, so the hot path never contends.
-#[derive(Default)]
-pub struct FilterCache {
-    slot: std::sync::Mutex<Option<(u64, enhancenet_tensor::Tensor)>>,
-}
-
-impl FilterCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// True when a cached value is present (test/diagnostic hook).
-    pub fn is_populated(&self) -> bool {
-        self.slot.lock().unwrap().is_some()
     }
 }
 
@@ -132,36 +114,6 @@ impl Dfgn {
         }
         let m = g.param(store, self.memory);
         self.generator.forward(g, store, m)
-    }
-
-    /// Like [`Dfgn::generate`], but in inference mode (`training = false`)
-    /// the generated filters are computed once per parameter version and
-    /// re-bound as constants on subsequent tapes — §VI-B4's observation
-    /// that "in the prediction phase, we do not need to use DFGN anymore
-    /// as the dynamic filters are already identified in the training
-    /// phase". During training the plain tracked path is used so gradients
-    /// keep flowing into the generator and memories.
-    pub fn generate_cached(
-        &self,
-        g: &mut Graph,
-        store: &ParamStore,
-        cache: &FilterCache,
-        training: bool,
-    ) -> Var {
-        if training {
-            return self.generate(g, store);
-        }
-        let mut slot = cache.slot.lock().unwrap();
-        if let Some((version, filters)) = slot.as_ref() {
-            if *version == store.version() {
-                enhancenet_telemetry::count("dfgn.cache.hits", 1);
-                return g.constant(filters.clone());
-            }
-        }
-        enhancenet_telemetry::count("dfgn.cache.misses", 1);
-        let var = self.generate(g, store);
-        *slot = Some((store.version(), g.value(var).clone()));
-        var
     }
 
     /// Number of entities.
@@ -402,37 +354,6 @@ mod tests {
         let mut g = Graph::new();
         let gen = g.constant(Tensor::ones(&[2, 10]));
         split_gru_filters(&mut g, gen, 2, 4);
-    }
-
-    #[test]
-    fn generate_cached_reuses_until_params_change() {
-        let (mut store, dfgn) = make(3, 4);
-        let cache = FilterCache::new();
-        // First eval forward populates the cache.
-        let mut g = Graph::new();
-        let v1 = dfgn.generate_cached(&mut g, &store, &cache, false);
-        assert!(cache.is_populated());
-        let first = g.value(v1).clone();
-        // Second eval forward returns identical values from the cache.
-        let mut g2 = Graph::new();
-        let v2 = dfgn.generate_cached(&mut g2, &store, &cache, false);
-        assert!(g2.value(v2).allclose(&first, 0.0));
-        // Training mode bypasses the cache entirely (gradients must flow).
-        let mut g4 = Graph::new();
-        let v4 = dfgn.generate_cached(&mut g4, &store, &cache, true);
-        let sq = g4.square(v4);
-        let loss = g4.sum_all(sq);
-        g4.backward(loss);
-        g4.write_grads(&mut store);
-        assert!(store.grad(dfgn.memory_id()).norm() > 0.0);
-        // A parameter update invalidates the cache: the cached path must
-        // agree with a freshly tracked generate, not the stale value.
-        store.value_mut(dfgn.memory_id()).map_inplace(|v| v * -0.5);
-        let mut g3 = Graph::new();
-        let v3 = dfgn.generate_cached(&mut g3, &store, &cache, false);
-        let mut g_fresh = Graph::new();
-        let fresh = dfgn.generate(&mut g_fresh, &store);
-        assert!(g3.value(v3).allclose(g_fresh.value(fresh), 0.0));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! the per-forward context (training flag, teacher signals for scheduled
 //! sampling).
 
-use crate::damgn::{Damgn, StaticFoldCache};
+use crate::damgn::Damgn;
 use crate::error::EnhanceNetError;
 use enhancenet_autodiff::{
     Graph, ParamId, ParamStore, Plan, PlanCache, PlanError, PlanExecutor, Var,
@@ -45,9 +45,15 @@ impl<'a> ForwardCtx<'a> {
 ///
 /// `Send + Sync` is a supertrait: the serving runtime moves models into a
 /// worker thread, and the sharded trainer shares `&dyn Forecaster` across
-/// scoped workers. `forward` takes `&self`, so implementations are
-/// naturally `Sync` as long as any interior caches use locks (see
-/// [`crate::dfgn::FilterCache`] / [`crate::damgn::StaticFoldCache`]).
+/// scoped workers. `forward_on` takes `&self`, so implementations are
+/// naturally `Sync` as long as any interior memo uses a lock (see
+/// [`Damgn::shared_topk_pattern`]).
+///
+/// Hosts implement [`Forecaster::forward_on`], which reads parameters from
+/// any store with this model's layout. That is how a serving fleet traces
+/// a published snapshot without touching the model's own store; everything
+/// else goes through the provided [`Forecaster::forward`], which reads
+/// [`Forecaster::store`].
 pub trait Forecaster: Send + Sync {
     /// Human-readable model tag as it appears in the paper's tables
     /// (e.g. `"D-RNN"`, `"DA-GTCN"`).
@@ -62,9 +68,22 @@ pub trait Forecaster: Send + Sync {
     /// Forecast horizon `F`.
     fn horizon(&self) -> usize;
 
-    /// Builds the forward computation on `g` and returns the prediction
-    /// node (`[B, F, N]`, scaled space).
-    fn forward(&self, g: &mut Graph, x: &Tensor, ctx: &mut ForwardCtx) -> Var;
+    /// Builds the forward computation on `g` with parameters read from
+    /// `store` and returns the prediction node (`[B, F, N]`, scaled
+    /// space). `store` must have this model's parameter layout: the
+    /// model's own store, or a copy of it with other values.
+    fn forward_on(
+        &self,
+        g: &mut Graph,
+        store: &ParamStore,
+        x: &Tensor,
+        ctx: &mut ForwardCtx,
+    ) -> Var;
+
+    /// [`Forecaster::forward_on`] over the model's own store.
+    fn forward(&self, g: &mut Graph, x: &Tensor, ctx: &mut ForwardCtx) -> Var {
+        self.forward_on(g, self.store(), x, ctx)
+    }
 
     /// The per-window input shape `[H, N, C]` this model expects, when it
     /// knows it. Hosts built from [`ModelDims`]-style configs report it;
@@ -115,10 +134,12 @@ pub trait Forecaster: Send + Sync {
     /// traces the eval forward once and compiles it into a static plan
     /// ([`Plan::compile`]); subsequent predictions execute the plan against
     /// its preallocated arena — allocation-free when `out` retains capacity
-    /// across calls. A parameter hot-swap bumps the store version and
+    /// across calls. A weight change bumps the store version and
     /// transparently recompiles. Models whose trace cannot be compiled
     /// (no plan cache, or no input-marked leaf) fall back to the tape with
-    /// identical results.
+    /// identical results. A plan run that panicked does not disable its
+    /// executor: the next call recovers it (counted as
+    /// `plan.executor.recovered`) and runs it again.
     fn predict_into(&self, window: &Tensor, out: &mut Tensor) -> Result<(), EnhanceNetError> {
         let shape_err = |expected: Vec<usize>| EnhanceNetError::InputShape {
             expected,
@@ -143,8 +164,7 @@ pub trait Forecaster: Send + Sync {
             }
             return self.predict_tape_into(window, out);
         }
-        let store = self.store();
-        let version = store.version();
+        let version = self.store().version();
         // Cache key: the traced (batched) input shape, stack-built so warm
         // lookups stay allocation-free.
         let mut key = [1usize; 4];
@@ -154,7 +174,11 @@ pub trait Forecaster: Send + Sync {
             key.copy_from_slice(window.shape());
         }
         if let Some(exec) = cache.lookup(&key, version) {
-            exec.lock().expect("plan executor poisoned").run(store, window, out);
+            let mut exec = exec.lock().unwrap_or_else(|poisoned| {
+                enhancenet_telemetry::count("plan.executor.recovered", 1);
+                poisoned.into_inner()
+            });
+            exec.run(window, out);
             return Ok(());
         }
         // Miss: trace once, compile, and answer from the traced value (the
@@ -195,23 +219,36 @@ pub trait Forecaster: Send + Sync {
     /// without a second forward.
     ///
     /// This is the compile step [`Forecaster::predict_into`] runs on a plan
-    /// cache miss, exposed so executors that keep their *own* plan tables —
-    /// the serving fleet gives each worker thread a private executor map, so
-    /// concurrent workers never serialize on the model's shared
-    /// [`PlanCache`] mutex — can compile against a shared model snapshot.
+    /// cache miss. The plan holds the weights of [`Forecaster::store`] as
+    /// they are now; see [`Forecaster::compile_eval_plan_on`] to compile
+    /// against another store.
     ///
     /// `Err` means this model's trace cannot be compiled (no
     /// [`Graph::input`]-marked leaf, unsupported op); callers fall back to
     /// [`Forecaster::predict_into`], which runs the tape with identical
     /// results.
     fn compile_eval_plan(&self, batched: &Tensor) -> (Result<Plan, PlanError>, Tensor) {
+        self.compile_eval_plan_on(self.store(), batched)
+    }
+
+    /// [`Forecaster::compile_eval_plan`] against `store`, a store with this
+    /// model's parameter layout. Executors that keep their *own* plan
+    /// tables use it: each serving-fleet worker compiles against the
+    /// published snapshot it executes, in a private executor map, so
+    /// concurrent workers never serialize on the model's shared
+    /// [`PlanCache`] mutex.
+    fn compile_eval_plan_on(
+        &self,
+        store: &ParamStore,
+        batched: &Tensor,
+    ) -> (Result<Plan, PlanError>, Tensor) {
         // The eval context draws nothing from the RNG (dropout off, no
         // teacher forcing), so a fixed seed keeps the trace deterministic.
         let mut rng = TensorRng::seed(0);
         let mut ctx = ForwardCtx::eval(&mut rng);
         let mut g = Graph::new();
-        let pred = self.forward(&mut g, batched, &mut ctx);
-        let compiled = Plan::compile(&g, pred, self.store());
+        let pred = self.forward_on(&mut g, store, batched, &mut ctx);
+        let compiled = Plan::compile(&g, pred, store);
         (compiled, g.value(pred).clone())
     }
 
@@ -277,13 +314,6 @@ pub trait Forecaster: Send + Sync {
         None
     }
 
-    /// The version-keyed cache the DAMGN's forwards fold into, when the
-    /// model carries one. Lets the graph-health probe reuse the top-k
-    /// pattern the last forward built instead of building it again.
-    fn damgn_fold_cache(&self) -> Option<&StaticFoldCache> {
-        None
-    }
-
     /// Parameter id of the shared DFGN entity-memory table, when the
     /// model has one. Drives the memory-drift probe and the t-SNE
     /// figures; models without distinct filters keep the default `None`.
@@ -344,7 +374,13 @@ pub(crate) mod test_model {
         fn plan_cache(&self) -> Option<&PlanCache> {
             Some(&self.plan_cache)
         }
-        fn forward(&self, g: &mut Graph, x: &Tensor, ctx: &mut ForwardCtx) -> Var {
+        fn forward_on(
+            &self,
+            g: &mut Graph,
+            store: &ParamStore,
+            x: &Tensor,
+            ctx: &mut ForwardCtx,
+        ) -> Var {
             let (b, h, n, _c) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
             // Last timestamp, target feature -> [B, N]. Eval traces slice
             // graph-side from an input leaf so the trace compiles to a plan;
@@ -357,8 +393,8 @@ pub(crate) mod test_model {
                 let t = g.slice_axis(t, 3, 0, 1);
                 g.reshape(t, &[b, n])
             };
-            let s = g.param(&self.store, self.scale);
-            let bias = g.param(&self.store, self.bias);
+            let s = g.param(store, self.scale);
+            let bias = g.param(store, self.bias);
             let scaled = g.mul(lv, s);
             let affine = g.add(scaled, bias);
             // Repeat across the horizon: [B, F, N].

@@ -51,10 +51,10 @@ pub mod probes;
 pub mod serve;
 pub mod trainer;
 
-pub use damgn::{Damgn, DamgnBinding, DamgnConfig, DamgnSparseBinding, StaticFoldCache};
+pub use damgn::{Damgn, DamgnBinding, DamgnConfig, DamgnSparseBinding};
 pub use dfgn::{
     gru_filter_dim, gru_filter_dim_general, split_gru_filters, split_gru_filters_general,
-    split_tcn_filters, tcn_filter_dim, Dfgn, DfgnConfig, FilterCache, GeneratedGruFilters,
+    split_tcn_filters, tcn_filter_dim, Dfgn, DfgnConfig, GeneratedGruFilters,
 };
 pub use error::EnhanceNetError;
 pub use forecaster::{Forecaster, ForwardCtx};

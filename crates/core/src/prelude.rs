@@ -13,7 +13,7 @@
 //! (`enhancenet_autodiff`, `ForwardCtx`) is deliberately *not* here: it is
 //! only needed when implementing a new host model, not when using one.
 
-pub use crate::damgn::{Damgn, DamgnConfig, StaticFoldCache};
+pub use crate::damgn::{Damgn, DamgnConfig};
 pub use crate::dfgn::{Dfgn, DfgnConfig};
 pub use crate::error::EnhanceNetError;
 pub use crate::forecaster::Forecaster;

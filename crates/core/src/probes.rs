@@ -17,8 +17,7 @@
 //!   λ's drifting to zero are early signs the adaptive graph stopped
 //!   contributing.
 //! * **DFGN memory drift** — per-epoch L2 distance of the shared entity
-//!   memory table from its initialization, plus the prediction-phase
-//!   filter-cache hit/miss counters, emitted as `probe.dfgn`. The
+//!   memory table from its initialization, emitted as `probe.dfgn`. The
 //!   memories are the only per-entity trainable state (§IV-C); zero drift
 //!   means the plugin is not learning.
 //!
@@ -131,9 +130,9 @@ pub const DENSE_PROBE_MAX_ENTITIES: usize = 4096;
 /// When the DAMGN runs with a top-k budget, the statistics are computed on
 /// the sparse `[N, K]` values directly (zero entries contribute nothing to
 /// either statistic, so this is exact, not an approximation). The pattern
-/// comes from [`Forecaster::damgn_fold_cache`] when it was built for the
-/// current store version, and is built afresh otherwise. Without a
-/// budget the probe densifies, but only up to
+/// comes from [`Damgn::shared_topk_pattern`](crate::Damgn::shared_topk_pattern),
+/// so the build the epoch's validation made for these weights is reused.
+/// Without a budget the probe densifies, but only up to
 /// [`DENSE_PROBE_MAX_ENTITIES`]; past that the adjacency statistics are
 /// reported as `null`.
 pub fn record_graph_diagnostics(
@@ -170,12 +169,7 @@ pub fn record_graph_diagnostics(
     let stats =
         |t: &Tensor| (t.row_entropy().mean_all() / ln_n, t.count_greater(uniform) as f32 / total);
     let (b_stats, c_stats) = if let Some(k) = damgn.top_k() {
-        // The epoch's validation forwards just ran at this store version,
-        // so their pattern is normally still cached.
-        let pattern = model
-            .damgn_fold_cache()
-            .and_then(|cache| cache.topk_pattern(store.version(), k))
-            .unwrap_or_else(|| damgn.topk_pattern(store, k));
+        let pattern = damgn.shared_topk_pattern(store, k);
         let b = damgn.static_b_topk(&mut g, store, &pattern);
         let b_stats = stats(g.value(b));
         let c_stats = sample_x.map(|x| {
@@ -239,8 +233,7 @@ impl MemoryDriftProbe {
     }
 
     /// Emits one `probe.dfgn` event: L2 distance of the current memory
-    /// table from the initial snapshot, plus the DFGN filter-cache
-    /// hit/miss counters (nonzero only once inference has run).
+    /// table from the initial snapshot.
     pub fn record(&self, epoch: usize, model: &dyn Forecaster) {
         if !enhancenet_telemetry::enabled() {
             return;
@@ -260,18 +253,9 @@ impl MemoryDriftProbe {
             })
             .sum::<f64>()
             .sqrt();
-        let hits = enhancenet_telemetry::counter_value("dfgn.cache.hits");
-        let misses = enhancenet_telemetry::counter_value("dfgn.cache.misses");
-        let lookups = hits + misses;
         enhancenet_telemetry::record_event(
             "probe.dfgn",
-            &serde_json::json!({
-                "epoch": epoch,
-                "memory_l2_from_init": drift,
-                "cache_hits": hits,
-                "cache_misses": misses,
-                "cache_hit_rate": if lookups > 0 { hits as f64 / lookups as f64 } else { 0.0 },
-            }),
+            &serde_json::json!({ "epoch": epoch, "memory_l2_from_init": drift }),
         );
     }
 }

@@ -10,13 +10,15 @@
 //!   never share an executor, so there is no cross-worker mutex on the hot
 //!   path (the model's own [`PlanCache`] would serialize them — see
 //!   [`Forecaster::compile_eval_plan`]).
-//! * **Hot swap** — workers execute compiled plans against the *currently
+//! * **Hot swap** — workers execute plans compiled against the *currently
 //!   published* [`ParamStore`] snapshot, loaded from a
-//!   [`SnapshotCell`](super::snapshot::SnapshotCell) once per batch.
-//!   [`FleetService::publisher`] hands a background trainer a
-//!   [`SnapshotPublisher`]; publishing swaps an `Arc` and bumps an epoch —
-//!   in-flight batches finish on the old weights, the next batch adopts
-//!   the new ones. No queue is paused, no request dropped.
+//!   [`SnapshotCell`](super::snapshot::SnapshotCell) once per batch. A plan
+//!   holds the values of the store it was traced from, so a worker that
+//!   sees a new epoch drops its plans and compiles the next batch against
+//!   the new snapshot. [`FleetService::publisher`] hands a background
+//!   trainer a [`SnapshotPublisher`]; publishing swaps an `Arc` and bumps
+//!   an epoch — in-flight batches finish on the old weights, the next
+//!   batch adopts the new ones. No queue is paused, no request dropped.
 //! * **Backpressure** — each tenant optionally carries a token bucket
 //!   ([`TenantQuota`]); a bursting tenant is throttled at the door
 //!   (degraded [`DegradedCause::QuotaExceeded`] persistence forecast)
@@ -25,6 +27,7 @@
 //!   the global safety net behind it.
 //!
 //! [`PlanCache`]: enhancenet_autodiff::PlanCache
+//! [`ParamStore`]: enhancenet_autodiff::ParamStore
 
 use super::config::ServeConfig;
 use super::reply::{PendingForecast, ReplySlot};
@@ -35,7 +38,7 @@ use super::{DegradedCause, Forecast, RequestTiming, ShutdownMode, ShutdownReport
 use crate::error::EnhanceNetError;
 use crate::forecaster::Forecaster;
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
-use enhancenet_autodiff::PlanExecutor;
+use enhancenet_autodiff::{Plan, PlanExecutor};
 use enhancenet_data::{SlidingWindow, StandardScaler};
 use enhancenet_telemetry::{MetricsServer, SloReport, SloWindow};
 use enhancenet_tensor::Tensor;
@@ -97,12 +100,13 @@ impl FleetService {
     /// assumes `config` already passed validation.
     ///
     /// Beyond the single-service checks, the model must be *plannable*:
-    /// fleet workers serve exclusively through compiled plans resolved
-    /// against published snapshots (the tape path reads the model's own
-    /// store and cannot see hot-swapped weights), so a model whose eval
-    /// trace cannot compile is rejected up front with a typed
+    /// fleet workers serve exclusively through plans compiled against
+    /// published snapshots (the tape path reads the model's own store and
+    /// cannot see hot-swapped weights), so a model whose eval trace cannot
+    /// compile is rejected up front with a typed
     /// [`EnhanceNetError::InvalidConfig`] rather than silently serving
-    /// stale weights after a swap.
+    /// stale weights after a swap. The probe compile is a batch-1 plan of
+    /// the epoch-0 snapshot, and every worker starts with it.
     pub(crate) fn from_config(
         model: Arc<dyn Forecaster + Send>,
         scaler: StandardScaler,
@@ -117,17 +121,20 @@ impl FleetService {
                 reason: format!("must be < {} features, got {}", input[2], config.target_feature),
             });
         }
-        // Probe-compile a batch-1 trace: fail fast if this model can never
-        // serve hot-swapped weights.
-        let probe = Tensor::zeros(&[1, input[0], input[1], input[2]]);
-        if let (Err(e), _) = model.compile_eval_plan(&probe) {
-            return Err(EnhanceNetError::InvalidConfig {
-                field: "model",
-                reason: format!("`{}` cannot be compiled for fleet serving: {e}", model.name()),
-            });
-        }
-        let horizon = model.horizon();
         let snapshots = Arc::new(SnapshotCell::new(model.store()));
+        // Probe-compile a batch-1 trace of the epoch-0 snapshot: fail fast
+        // if this model can never serve hot-swapped weights.
+        let probe = Tensor::zeros(&[1, input[0], input[1], input[2]]);
+        let seed = match model.compile_eval_plan_on(&snapshots.load().store, &probe).0 {
+            Ok(plan) => Arc::new(plan),
+            Err(e) => {
+                return Err(EnhanceNetError::InvalidConfig {
+                    field: "model",
+                    reason: format!("`{}` cannot be compiled for fleet serving: {e}", model.name()),
+                })
+            }
+        };
+        let horizon = model.horizon();
         let publisher = SnapshotPublisher::new(Arc::clone(&snapshots), model.store());
         let shutdown = Arc::new(ShutdownState::new());
         let live_workers = Arc::new(AtomicUsize::new(config.workers));
@@ -136,6 +143,7 @@ impl FleetService {
             let (tx, rx) = bounded(config.queue_capacity);
             let ctx = WorkerCtx {
                 model: Arc::clone(&model),
+                seed: Arc::clone(&seed),
                 snapshots: Arc::clone(&snapshots),
                 rx,
                 max_batch: config.max_batch,
@@ -483,6 +491,8 @@ impl Drop for FleetService {
 /// Everything one fleet worker thread owns.
 struct WorkerCtx {
     model: Arc<dyn Forecaster + Send>,
+    /// The spawn probe's batch-1 plan of the epoch-0 snapshot.
+    seed: Arc<Plan>,
     snapshots: Arc<SnapshotCell>,
     rx: Receiver<BatchRequest>,
     max_batch: usize,
@@ -504,18 +514,19 @@ impl Drop for LiveGuard {
 /// execute a worker-private compiled plan against it.
 ///
 /// Plan executors are keyed by batched input shape and scoped to the
-/// snapshot epoch they were compiled under: a hot swap clears the map
-/// (counted once per worker as `serve.swap.adopted`) and the next batch
-/// per shape recompiles against unchanged plan *structure* but the new
-/// snapshot's values. Hits and misses feed the same `plan.cache.*`
-/// counters as the single-service path, so the CI metric contract holds
-/// across both runtimes.
+/// snapshot epoch they were compiled under: the map starts with the spawn
+/// probe's epoch-0 plan, a hot swap clears it (counted once per worker as
+/// `serve.swap.adopted`), and the next batch per shape compiles against
+/// the new snapshot. Hits and misses feed the same `plan.cache.*` counters
+/// as the single-service path, so the CI metric contract holds across both
+/// runtimes.
 fn fleet_worker_loop(ctx: WorkerCtx) {
     let _guard = LiveGuard(Arc::clone(&ctx.live));
     let mut batch_x = Tensor::default();
     let mut pred = Tensor::default();
-    let mut epoch = ctx.snapshots.epoch();
+    let mut epoch = 0;
     let mut execs: HashMap<Vec<usize>, PlanExecutor> = HashMap::new();
+    execs.insert(ctx.seed.input_shape().to_vec(), PlanExecutor::new(Arc::clone(&ctx.seed)));
     while let Some(batch) = worker::next_batch(&ctx.rx, ctx.max_batch, ctx.max_wait) {
         match ctx.shutdown.mode() {
             Some(ShutdownMode::Now) => worker::shed_batch(batch, &ctx.shutdown),
@@ -542,8 +553,8 @@ fn fleet_worker_loop(ctx: WorkerCtx) {
     }
 }
 
-/// Executes one batched forward for a fleet worker: look up (or compile)
-/// the plan for this batch shape, then run it against the snapshot store.
+/// Executes one batched forward for a fleet worker: look up the plan for
+/// this batch shape, or compile it against the snapshot store, and run it.
 fn run_on_snapshot(
     model: &dyn Forecaster,
     snapshot: &Snapshot,
@@ -558,7 +569,7 @@ fn run_on_snapshot(
         }
         Entry::Vacant(entry) => {
             enhancenet_telemetry::count("plan.cache.misses", 1);
-            let (compiled, _traced) = model.compile_eval_plan(x);
+            let (compiled, _traced) = model.compile_eval_plan_on(&snapshot.store, x);
             match compiled {
                 Ok(plan) => entry.insert(PlanExecutor::new(plan)),
                 // Probed plannable at spawn; a shape-dependent compile
@@ -568,6 +579,6 @@ fn run_on_snapshot(
             }
         }
     };
-    exec.run(&snapshot.store, x, out);
+    exec.run(x, out);
     Ok(())
 }

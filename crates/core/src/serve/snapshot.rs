@@ -2,17 +2,15 @@
 //!
 //! The fleet never mutates the model it serves. Instead, each worker loads
 //! the *current snapshot* — an immutable [`ParamStore`] copy behind an
-//! `Arc` — once per batch, and compiled plans resolve parameters live from
-//! that store at execution time (see `enhancenet_autodiff::Plan`: params
-//! are indexed by [`ParamId`], never baked into the plan). A background
-//! trainer hot-swaps weights by handing [`SnapshotPublisher::publish`] a
-//! new store: the cell swaps the `Arc` under a short lock and bumps the
-//! epoch counter. In-flight batches finish on the `Arc` they already
-//! cloned — zero downtime, no reader ever blocks on a writer for longer
-//! than the pointer swap — and workers adopt the new epoch at their next
-//! batch boundary, dropping plan executors compiled against the old
-//! weights' values (the plan *structure* survives; only the arena state is
-//! rebuilt).
+//! `Arc` — once per batch, and executes plans compiled against that store
+//! (see `enhancenet_autodiff::Plan`: a plan holds the values of the store
+//! it was traced from). A background trainer hot-swaps weights by handing
+//! [`SnapshotPublisher::publish`] a new store: the cell swaps the `Arc`
+//! under a short lock and bumps the epoch counter. In-flight batches finish
+//! on the `Arc` they already cloned — zero downtime, no reader ever blocks
+//! on a writer for longer than the pointer swap — and workers adopt the
+//! new epoch at their next batch boundary, dropping the plans of the old
+//! snapshot and compiling against the new one.
 //!
 //! This is the `ArcSwap` idiom built from `std` primitives (the repo
 //! vendors no atomics crate): load = lock, clone `Arc`, unlock — a few
@@ -28,7 +26,7 @@ pub(crate) struct Snapshot {
     /// Epoch 0 is the weights the fleet was spawned with; each publish
     /// increments.
     pub(crate) epoch: u64,
-    /// The parameter values compiled plans resolve against.
+    /// The parameter values the workers' plans are compiled from.
     pub(crate) store: ParamStore,
 }
 
@@ -72,8 +70,8 @@ impl SnapshotCell {
 
 /// A deep value copy of `base`: same [`ParamId`] assignment (ids are
 /// allocated sequentially by insertion order), same names, same shapes —
-/// exactly what a plan compiled against `base` needs to resolve against
-/// the copy.
+/// exactly what the model's forward needs to trace the copy. The copy has
+/// a version of its own.
 pub(crate) fn clone_store(base: &ParamStore) -> ParamStore {
     let mut store = ParamStore::new();
     for id in base.ids() {
@@ -88,9 +86,9 @@ pub(crate) fn clone_store(base: &ParamStore) -> ParamStore {
 #[derive(Clone)]
 pub struct SnapshotPublisher {
     pub(crate) cell: Arc<SnapshotCell>,
-    /// `(id, shape)` contract the fleet's compiled plans assume; publishes
-    /// are validated against it so a mismatched store fails typed instead
-    /// of corrupting a forward pass.
+    /// `(id, shape)` contract the model's forward assumes; publishes are
+    /// validated against it so a mismatched store fails typed instead of
+    /// corrupting a forward pass.
     pub(crate) contract: Arc<Vec<(ParamId, Vec<usize>)>>,
 }
 
@@ -119,11 +117,12 @@ impl SnapshotPublisher {
     /// returns the new epoch.
     ///
     /// The store must match the serving model's parameter layout — same
-    /// parameter count, same per-id shapes — because compiled plans index
-    /// parameters by id. A trainer that trained a *fresh instance of the
-    /// same architecture* satisfies this by construction; anything else
-    /// fails with [`EnhanceNetError::InvalidConfig`] and leaves the
-    /// current snapshot serving.
+    /// parameter count, same per-id shapes — because the model's forward
+    /// reads parameters by id, and every value must be finite. A trainer
+    /// that trained a *fresh instance of the same architecture* satisfies
+    /// the layout by construction; anything else fails with
+    /// [`EnhanceNetError::InvalidConfig`], counts `serve.swap.rejected`,
+    /// and leaves the current snapshot serving.
     ///
     /// In-flight batches finish on the old snapshot; workers pick the new
     /// one up at their next batch boundary (counted as
@@ -132,19 +131,44 @@ impl SnapshotPublisher {
     pub fn publish(&self, store: &ParamStore) -> Result<u64, EnhanceNetError> {
         let got: Vec<(ParamId, Vec<usize>)> =
             store.ids().map(|id| (id, store.value(id).shape().to_vec())).collect();
-        if got != *self.contract {
-            return Err(EnhanceNetError::InvalidConfig {
-                field: "snapshot",
-                reason: format!(
-                    "published store layout ({} params) does not match the serving model ({} params with identical ids/shapes required)",
-                    got.len(),
-                    self.contract.len()
-                ),
-            });
+        let reason = if got != *self.contract {
+            Some(format!(
+                "published store layout ({} params) does not match the serving model ({} params with identical ids/shapes required)",
+                got.len(),
+                self.contract.len()
+            ))
+        } else {
+            store
+                .ids()
+                .find(|&id| store.value(id).has_non_finite())
+                .map(|id| format!("parameter `{}` holds a NaN or infinite value", store.name(id)))
+        };
+        if let Some(reason) = reason {
+            enhancenet_telemetry::count("serve.swap.rejected", 1);
+            return Err(EnhanceNetError::InvalidConfig { field: "snapshot", reason });
         }
         let epoch = self.cell.publish(clone_store(store));
         enhancenet_telemetry::count("serve.swap.published", 1);
         enhancenet_telemetry::gauge("serve.swap.epoch", epoch as f64);
         Ok(epoch)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use enhancenet_tensor::Tensor;
+
+    #[test]
+    fn fresh_stores_and_snapshot_copies_have_distinct_versions() {
+        let mut a = ParamStore::new();
+        a.add("w", Tensor::ones(&[2]));
+        let mut b = ParamStore::new();
+        b.add("w", Tensor::ones(&[2]));
+        let copy = clone_store(&a);
+        let versions = [a.version(), b.version(), copy.version()];
+        assert_ne!(versions[0], versions[1]);
+        assert_ne!(versions[0], versions[2]);
+        assert_ne!(versions[1], versions[2]);
     }
 }

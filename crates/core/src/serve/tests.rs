@@ -132,9 +132,15 @@ impl Forecaster for SlowModel {
     fn input_shape(&self) -> Option<[usize; 3]> {
         self.inner.input_shape()
     }
-    fn forward(&self, g: &mut Graph, x: &Tensor, ctx: &mut ForwardCtx) -> Var {
+    fn forward_on(
+        &self,
+        g: &mut Graph,
+        store: &ParamStore,
+        x: &Tensor,
+        ctx: &mut ForwardCtx,
+    ) -> Var {
         std::thread::sleep(self.sleep);
-        self.inner.forward(g, x, ctx)
+        self.inner.forward_on(g, store, x, ctx)
     }
 }
 
@@ -241,7 +247,13 @@ impl Forecaster for PanickyModel {
     fn input_shape(&self) -> Option<[usize; 3]> {
         self.inner.input_shape()
     }
-    fn forward(&self, _g: &mut Graph, _x: &Tensor, _ctx: &mut ForwardCtx) -> Var {
+    fn forward_on(
+        &self,
+        _g: &mut Graph,
+        _store: &ParamStore,
+        _x: &Tensor,
+        _ctx: &mut ForwardCtx,
+    ) -> Var {
         panic!("injected model failure");
     }
 }
@@ -589,7 +601,13 @@ fn fleet_rejects_unplannable_models_up_front() {
         fn input_shape(&self) -> Option<[usize; 3]> {
             self.inner.input_shape()
         }
-        fn forward(&self, g: &mut Graph, x: &Tensor, _ctx: &mut ForwardCtx) -> Var {
+        fn forward_on(
+            &self,
+            g: &mut Graph,
+            _store: &ParamStore,
+            x: &Tensor,
+            _ctx: &mut ForwardCtx,
+        ) -> Var {
             // Bakes the window into a constant: nothing to rebind.
             let shape = [x.shape()[0], self.inner.horizon(), x.shape()[2]];
             g.constant(Tensor::zeros(&shape))

@@ -934,7 +934,13 @@ mod tests {
         fn horizon(&self) -> usize {
             self.inner.horizon()
         }
-        fn forward(&self, g: &mut Graph, x: &Tensor, ctx: &mut ForwardCtx) -> Var {
+        fn forward_on(
+            &self,
+            g: &mut Graph,
+            store: &ParamStore,
+            x: &Tensor,
+            ctx: &mut ForwardCtx,
+        ) -> Var {
             let call = self.calls.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
             if call < self.nan_calls {
                 let (b, n) = (x.shape()[0], x.shape()[2]);
@@ -943,7 +949,7 @@ mod tests {
                     &[b, self.horizon(), n],
                 ))
             } else {
-                self.inner.forward(g, x, ctx)
+                self.inner.forward_on(g, store, x, ctx)
             }
         }
     }

@@ -1,8 +1,9 @@
 //! Proves the compiled-plan serving contract: once a plan is compiled and
 //! its arena is warm, `Forecaster::predict_into` and the serve-batch
 //! assembly path (`Tensor::stack_into` + batched `predict_into`) perform
-//! **zero heap allocations**. Runs as its own integration binary so the
-//! counting allocator sees no interference from sibling tests.
+//! **zero heap allocations**. Runs as its own integration binary without
+//! the libtest harness (`harness = false`), so the counting allocator sees
+//! no interference from harness threads or sibling tests.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -28,17 +29,6 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-/// Telemetry state (and the allocation counter) is process-global:
-/// serialize the tests so one test's warm-up cannot leak allocations into
-/// another's measured window.
-fn lock_tests() -> std::sync::MutexGuard<'static, ()> {
-    static GUARD: std::sync::OnceLock<std::sync::Mutex<()>> = std::sync::OnceLock::new();
-    GUARD
-        .get_or_init(|| std::sync::Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
 
 const H: usize = 6;
 const N: usize = 8;
@@ -83,14 +73,20 @@ impl Forecaster for LinearModel {
     fn plan_cache(&self) -> Option<&PlanCache> {
         Some(&self.plan_cache)
     }
-    fn forward(&self, g: &mut Graph, x: &Tensor, ctx: &mut ForwardCtx) -> Var {
+    fn forward_on(
+        &self,
+        g: &mut Graph,
+        store: &ParamStore,
+        x: &Tensor,
+        ctx: &mut ForwardCtx,
+    ) -> Var {
         let b = x.shape()[0];
         let xin = if ctx.training { g.constant(x.clone()) } else { g.input(x.clone()) };
         let last = g.slice_axis(xin, 1, H - 1, H);
         let last = g.reshape(last, &[b * N, C]);
-        let w = g.param(&self.store, self.w);
+        let w = g.param(store, self.w);
         let y = g.matmul(last, w);
-        let bias = g.param(&self.store, self.bias);
+        let bias = g.param(store, self.bias);
         let y = g.add(y, bias);
         let y = g.tanh(y);
         let y = g.reshape(y, &[b, N, F]);
@@ -98,9 +94,7 @@ impl Forecaster for LinearModel {
     }
 }
 
-#[test]
 fn warm_predict_into_is_allocation_free() {
-    let _g = lock_tests();
     enhancenet_telemetry::set_enabled(false);
     let model = LinearModel::new();
     let window = TensorRng::seed(2).normal(&[H, N, C], 0.0, 1.0);
@@ -133,9 +127,7 @@ fn warm_predict_into_is_allocation_free() {
     );
 }
 
-#[test]
 fn warm_serve_batch_path_is_allocation_free() {
-    let _g = lock_tests();
     enhancenet_telemetry::set_enabled(false);
     let model = LinearModel::new();
     // The serve worker assembles rank-3 request windows into one rank-4
@@ -164,4 +156,17 @@ fn warm_serve_batch_path_is_allocation_free() {
         "warm serve-batch path must not allocate ({} allocations observed over 100 runs)",
         after - before
     );
+}
+
+/// Runs every case in order on the main thread: no test harness shares
+/// the process, so the counter sees only the code under test.
+fn main() {
+    let cases: [(&str, fn()); 2] = [
+        ("warm_predict_into_is_allocation_free", warm_predict_into_is_allocation_free),
+        ("warm_serve_batch_path_is_allocation_free", warm_serve_batch_path_is_allocation_free),
+    ];
+    for (name, case) in cases {
+        case();
+        println!("{name} ... ok");
+    }
 }

@@ -50,7 +50,13 @@ impl Forecaster for NullModel {
     fn horizon(&self) -> usize {
         12
     }
-    fn forward(&self, g: &mut Graph, x: &Tensor, _ctx: &mut ForwardCtx) -> Var {
+    fn forward_on(
+        &self,
+        g: &mut Graph,
+        _store: &ParamStore,
+        x: &Tensor,
+        _ctx: &mut ForwardCtx,
+    ) -> Var {
         // Probes never run a forward pass; keep a valid body anyway.
         g.constant(Tensor::zeros(&[x.shape()[0], 12, x.shape()[2]]))
     }

@@ -54,7 +54,13 @@ impl Forecaster for SparseDamgnModel {
     fn damgn(&self) -> Option<&Damgn> {
         Some(&self.damgn)
     }
-    fn forward(&self, g: &mut Graph, x: &Tensor, _ctx: &mut ForwardCtx) -> Var {
+    fn forward_on(
+        &self,
+        g: &mut Graph,
+        _store: &ParamStore,
+        x: &Tensor,
+        _ctx: &mut ForwardCtx,
+    ) -> Var {
         g.constant(Tensor::zeros(&[x.shape()[0], 2, x.shape()[2]]))
     }
 }

@@ -6,8 +6,9 @@
 //!   reduce → reset) must reuse its buffers in steady state, so epoch
 //!   throughput does not pay an allocator tax per batch.
 //!
-//! Runs as its own integration binary so the counting allocator sees no
-//! interference from sibling tests.
+//! Runs as its own integration binary without the libtest harness
+//! (`harness = false`), so the counting allocator sees no interference from
+//! harness threads or sibling tests.
 
 use enhancenet_autodiff::{GradBuffer, ParamStore};
 use enhancenet_tensor::Tensor;
@@ -32,7 +33,6 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-#[test]
 fn disabled_shard_telemetry_is_allocation_free() {
     enhancenet_telemetry::set_enabled(false);
 
@@ -57,7 +57,6 @@ fn disabled_shard_telemetry_is_allocation_free() {
     assert_eq!(enhancenet_telemetry::event_count("trainer.shard.windows"), 0);
 }
 
-#[test]
 fn gradient_reduction_reuses_buffers_in_steady_state() {
     // Mirror of the engine's per-batch gradient flow: per-window buffers
     // accumulate, fold into a running total in fixed order, reduce into the
@@ -100,4 +99,23 @@ fn gradient_reduction_reuses_buffers_in_steady_state() {
         "steady-state gradient reduction must not allocate ({} allocations observed)",
         after - before
     );
+}
+
+/// Runs every case in order on the main thread: no test harness shares
+/// the process, so the counter sees only the code under test.
+fn main() {
+    let cases: [(&str, fn()); 2] = [
+        (
+            "disabled_shard_telemetry_is_allocation_free",
+            disabled_shard_telemetry_is_allocation_free,
+        ),
+        (
+            "gradient_reduction_reuses_buffers_in_steady_state",
+            gradient_reduction_reuses_buffers_in_steady_state,
+        ),
+    ];
+    for (name, case) in cases {
+        case();
+        println!("{name} ... ok");
+    }
 }

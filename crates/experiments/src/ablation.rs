@@ -89,34 +89,40 @@ impl Forecaster for ArHost {
         self.f
     }
 
-    fn forward(&self, g: &mut Graph, x: &Tensor, _ctx: &mut ForwardCtx) -> Var {
+    fn forward_on(
+        &self,
+        g: &mut Graph,
+        store: &ParamStore,
+        x: &Tensor,
+        _ctx: &mut ForwardCtx,
+    ) -> Var {
         let (b, h, n) = (x.shape()[0], x.shape()[1], x.shape()[2]);
         let hist = x.slice_axis(3, 0, 1).reshape(&[b, h, n]).permute(&[0, 2, 1]); // [B,N,H]
         let hv = g.constant(hist);
         let y = match &self.weights {
             ArWeights::Shared(coef) => {
-                let w = g.param(&self.store, *coef);
+                let w = g.param(store, *coef);
                 g.matmul_broadcast_right(hv, w)
             }
             ArWeights::InputConditioned(gen) => {
                 // Generate a [B·N, H, F] coefficient tensor from each
                 // window, then apply it to that window.
                 let flat = g.reshape(hv, &[b * n, h]);
-                let gen_flat = gen.forward(g, &self.store, flat); // [B·N, H·F]
+                let gen_flat = gen.forward(g, store, flat); // [B·N, H·F]
                 let w = g.reshape(gen_flat, &[b * n, h, self.f]);
                 let xin = g.reshape(hv, &[b * n, 1, h]);
                 let out = g.bmm(xin, w); // [B·N, 1, F]
                 g.reshape(out, &[b, n, self.f])
             }
             ArWeights::MemoryConditioned(dfgn) => {
-                let generated = dfgn.generate(g, &self.store); // [N, H·F]
+                let generated = dfgn.generate(g, store); // [N, H·F]
                 let w = g.reshape(generated, &[self.n, self.h, self.f]);
                 let xp = g.permute(hv, &[1, 0, 2]); // [N, B, H]
                 let per_entity = g.bmm(xp, w); // [N, B, F]
                 g.permute(per_entity, &[1, 0, 2])
             }
             ArWeights::Straightforward(coef) => {
-                let w = g.param(&self.store, *coef); // [N, H, F]
+                let w = g.param(store, *coef); // [N, H, F]
                 let xp = g.permute(hv, &[1, 0, 2]);
                 let per_entity = g.bmm(xp, w);
                 g.permute(per_entity, &[1, 0, 2])
@@ -124,7 +130,7 @@ impl Forecaster for ArHost {
         };
         // Shared scalar bias (Linear on a dummy 1-feature input).
         let one = g.constant(Tensor::ones(&[1, 1]));
-        let bias = self.head_bias.forward(g, &self.store, one); // [1,1]
+        let bias = self.head_bias.forward(g, store, one); // [1,1]
         let flat_bias = g.reshape(bias, &[1]);
         let biased = g.add(y, flat_bias);
         g.permute(biased, &[0, 2, 1]) // [B, F, N]

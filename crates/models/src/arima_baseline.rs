@@ -76,7 +76,13 @@ impl Forecaster for ArimaBaseline {
     /// Forecasts each window by filtering its (raw-scale) history. The
     /// input arrives scaled, so it is inverted through the stored scaler
     /// first; outputs are re-scaled to match the harness contract.
-    fn forward(&self, g: &mut Graph, x: &Tensor, _ctx: &mut ForwardCtx) -> Var {
+    fn forward_on(
+        &self,
+        g: &mut Graph,
+        _store: &ParamStore,
+        x: &Tensor,
+        _ctx: &mut ForwardCtx,
+    ) -> Var {
         let (b, h, n, _c) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
         let f = self.dims.output_len;
         let mut out = Tensor::zeros(&[b, f, n]);

@@ -114,15 +114,21 @@ impl Forecaster for LstmSeq2Seq {
         Some(&self.plan_cache)
     }
 
-    fn forward(&self, g: &mut Graph, x: &Tensor, ctx: &mut ForwardCtx) -> Var {
+    fn forward_on(
+        &self,
+        g: &mut Graph,
+        store: &ParamStore,
+        x: &Tensor,
+        ctx: &mut ForwardCtx,
+    ) -> Var {
         let (b, h_len, n, c) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
         assert_eq!(n, self.dims.num_entities);
         assert_eq!(c, self.dims.in_features);
         let f_len = self.dims.output_len;
         let hidden = self.dims.hidden;
 
-        let enc_bound: Vec<_> = self.enc.iter().map(|l| l.bind(g, &self.store)).collect();
-        let dec_bound: Vec<_> = self.dec.iter().map(|l| l.bind(g, &self.store)).collect();
+        let enc_bound: Vec<_> = self.enc.iter().map(|l| l.bind(g, store)).collect();
+        let dec_bound: Vec<_> = self.dec.iter().map(|l| l.bind(g, store)).collect();
 
         let zeros = Tensor::zeros(&[b, n, hidden]);
         let mut hs: Vec<Var> = (0..self.enc.len()).map(|_| g.constant(zeros.clone())).collect();
@@ -165,7 +171,7 @@ impl Forecaster for LstmSeq2Seq {
         let mut outputs = Vec::with_capacity(f_len);
         for t in 0..f_len {
             let top = run_step(g, &dec_bound, &mut hs, &mut cs, dec_in);
-            let pred = self.head.forward(g, &self.store, top);
+            let pred = self.head.forward(g, store, top);
             outputs.push(g.reshape(pred, &[b, 1, n]));
             dec_in = if ctx.use_teacher() {
                 let teacher = ctx.teacher.expect("use_teacher implies teacher");

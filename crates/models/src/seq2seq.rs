@@ -15,8 +15,8 @@
 //! encoder's final hidden states, as in the paper's encoder–decoder setup.
 
 use crate::config::{GraphMode, ModelDims, TemporalMode};
-use enhancenet::dfgn::{gru_filter_dim_general, split_gru_filters_general, FilterCache};
-use enhancenet::{graph_conv, Damgn, Dfgn, Forecaster, ForwardCtx, GcSupport, StaticFoldCache};
+use enhancenet::dfgn::{gru_filter_dim_general, split_gru_filters_general};
+use enhancenet::{graph_conv, Damgn, Dfgn, Forecaster, ForwardCtx, GcSupport};
 use enhancenet_autodiff::{Graph, ParamId, ParamStore, PlanCache, Var};
 use enhancenet_graph::build_supports;
 use enhancenet_nn::cell::{gru_step, Gate};
@@ -40,8 +40,6 @@ enum CellWeights {
 
 struct GruLayer {
     weights: CellWeights,
-    /// Prediction-phase cache of DFGN-generated filters (§VI-B4).
-    cache: FilterCache,
     biases: [ParamId; 3],
     /// Effective x-side input width (includes GC hop expansion).
     c_x: usize,
@@ -131,10 +129,10 @@ impl GruLayer {
         let biases = std::array::from_fn(|i| {
             store.add(format!("{name}.b_{}", gates[i]), Tensor::zeros(&[c_out]))
         });
-        Self { weights, cache: FilterCache::new(), biases, c_x, c_h, c_out }
+        Self { weights, biases, c_x, c_h, c_out }
     }
 
-    fn bind(&self, g: &mut Graph, store: &ParamStore, training: bool) -> BoundLayer {
+    fn bind(&self, g: &mut Graph, store: &ParamStore) -> BoundLayer {
         let b = std::array::from_fn(|i| g.param(store, self.biases[i]));
         match &self.weights {
             CellWeights::Shared { w, u } | CellWeights::Straightforward { w, u } => BoundLayer {
@@ -143,7 +141,7 @@ impl GruLayer {
                 b,
             },
             CellWeights::Generated(dfgn) => {
-                let generated = dfgn.generate_cached(g, store, &self.cache, training);
+                let generated = dfgn.generate(g, store);
                 let f = split_gru_filters_general(g, generated, self.c_x, self.c_h, self.c_out);
                 BoundLayer { w: f.w, u: f.u, b }
             }
@@ -184,9 +182,6 @@ struct GraphParts {
     supports: Vec<Tensor>,
     k_hops: usize,
     damgn: Option<Damgn>,
-    /// Eval-path cache of the DAMGN static fold `λ_A·A_s + λ_B·B`,
-    /// invalidated by weight updates via the store version.
-    fold_cache: StaticFoldCache,
 }
 
 /// GRU encoder–decoder forecaster (RNN / GRNN family).
@@ -323,12 +318,7 @@ impl GruSeq2Seq {
                 let a = adjacency.expect("static graph mode requires an adjacency");
                 let supports = build_supports(a, kind);
                 let count = supports.len();
-                let parts = GraphParts {
-                    supports,
-                    k_hops,
-                    damgn: None,
-                    fold_cache: StaticFoldCache::new(),
-                };
+                let parts = GraphParts { supports, k_hops, damgn: None };
                 (Some(parts), count, k_hops)
             }
             GraphMode::Dynamic { kind, k_hops, damgn } => {
@@ -338,12 +328,7 @@ impl GruSeq2Seq {
                 // DAMGN attends over the target feature (see DESIGN.md):
                 // one embedding size works for both encoder and decoder.
                 let damgn = Damgn::new(&mut store, &mut rng, "damgn", n, 1, damgn);
-                let parts = GraphParts {
-                    supports,
-                    k_hops,
-                    damgn: Some(damgn),
-                    fold_cache: StaticFoldCache::new(),
-                };
+                let parts = GraphParts { supports, k_hops, damgn: Some(damgn) };
                 (Some(parts), count, k_hops)
             }
             GraphMode::AdaptiveStatic { .. } => {
@@ -458,7 +443,13 @@ impl Forecaster for GruSeq2Seq {
         Some(&self.plan_cache)
     }
 
-    fn forward(&self, g: &mut Graph, x: &Tensor, ctx: &mut ForwardCtx) -> Var {
+    fn forward_on(
+        &self,
+        g: &mut Graph,
+        store: &ParamStore,
+        x: &Tensor,
+        ctx: &mut ForwardCtx,
+    ) -> Var {
         let (b, h_len, n, c) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
         assert_eq!(n, self.dims.num_entities, "entity count mismatch");
         assert_eq!(c, self.dims.in_features, "feature count mismatch");
@@ -471,15 +462,13 @@ impl Forecaster for GruSeq2Seq {
             .as_ref()
             .map(|parts| parts.supports.iter().map(|s| g.constant(s.clone())).collect());
         let damgn_binding = match (&self.graph, &base_supports) {
-            (Some(parts), Some(base)) => parts.damgn.as_ref().map(|damgn| {
-                damgn.bind_cached(g, &self.store, base, &parts.fold_cache, ctx.training)
-            }),
+            (Some(parts), Some(base)) => {
+                parts.damgn.as_ref().map(|damgn| damgn.bind(g, store, base))
+            }
             _ => None,
         };
-        let enc_bound: Vec<BoundLayer> =
-            self.enc.iter().map(|l| l.bind(g, &self.store, ctx.training)).collect();
-        let dec_bound: Vec<BoundLayer> =
-            self.dec.iter().map(|l| l.bind(g, &self.store, ctx.training)).collect();
+        let enc_bound: Vec<BoundLayer> = self.enc.iter().map(|l| l.bind(g, store)).collect();
+        let dec_bound: Vec<BoundLayer> = self.dec.iter().map(|l| l.bind(g, store)).collect();
         let k_hops = self.graph.as_ref().map_or(0, |p| p.k_hops);
 
         // Eval traces read the window through a single input leaf so the
@@ -529,7 +518,7 @@ impl Forecaster for GruSeq2Seq {
                 );
                 input = dec_hidden[l];
             }
-            let pred = self.head.forward(g, &self.store, input); // [B, N, 1]
+            let pred = self.head.forward(g, store, input); // [B, N, 1]
             outputs.push(g.reshape(pred, &[b, 1, n]));
             dec_in = if ctx.use_teacher() {
                 let teacher = ctx.teacher.expect("use_teacher implies teacher");
@@ -737,24 +726,6 @@ mod tests {
     }
 
     #[test]
-    fn eval_filter_cache_matches_tracked_path() {
-        // Two eval forwards (second served from the cache) must agree
-        // bit-for-bit, and training afterwards must still move parameters.
-        let m = GruSeq2Seq::rnn(dims(5, 1), 2, TemporalMode::Distinct(small_dfgn()), 13);
-        let x = TensorRng::seed(20).normal(&[1, 4, 5, 1], 0.0, 1.0);
-        let run = || {
-            let mut g = Graph::new();
-            let mut rng = TensorRng::seed(21);
-            let mut ctx = ForwardCtx::eval(&mut rng);
-            let y = m.forward(&mut g, &x, &mut ctx);
-            g.value(y).clone()
-        };
-        let first = run();
-        let second = run(); // cache hit
-        assert!(first.allclose(&second, 0.0));
-    }
-
-    #[test]
     fn paper_presets_match_explicit_modes() {
         let a = ring_adjacency(5);
         let cases: Vec<(GruSeq2Seq, &str)> = vec![
@@ -770,25 +741,6 @@ mod tests {
             assert_eq!(m.input_shape(), Some([4, 5, 2]));
             forward_shape(&m, 2);
         }
-    }
-
-    #[test]
-    fn eval_damgn_fold_cache_matches_tracked_path() {
-        // Second eval forward serves the folded static mix from the cache;
-        // outputs must agree bit-for-bit with the first (tracked) pass.
-        let a = ring_adjacency(5);
-        let m = GruSeq2Seq::paper_da_grnn(dims(5, 2), 1, &a, 17);
-        let x = TensorRng::seed(22).normal(&[1, 4, 5, 2], 0.0, 1.0);
-        let run = || {
-            let mut g = Graph::new();
-            let mut rng = TensorRng::seed(23);
-            let mut ctx = ForwardCtx::eval(&mut rng);
-            let y = m.forward(&mut g, &x, &mut ctx);
-            g.value(y).clone()
-        };
-        let first = run();
-        let second = run();
-        assert!(first.allclose(&second, 0.0));
     }
 
     #[test]

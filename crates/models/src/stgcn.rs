@@ -157,7 +157,13 @@ impl Forecaster for Stgcn {
         Some(&self.plan_cache)
     }
 
-    fn forward(&self, g: &mut Graph, x: &Tensor, ctx: &mut ForwardCtx) -> Var {
+    fn forward_on(
+        &self,
+        g: &mut Graph,
+        store: &ParamStore,
+        x: &Tensor,
+        ctx: &mut ForwardCtx,
+    ) -> Var {
         let (b, t, n, c) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
         assert_eq!(n, self.dims.num_entities);
         assert_eq!(c, self.dims.in_features);
@@ -170,24 +176,24 @@ impl Forecaster for Stgcn {
         let mut h = g.permute(xin, &[0, 2, 1, 3]); // [B, N, T, C]
 
         for block in &self.blocks {
-            h = block.temporal1.forward(g, &self.store, h);
+            h = block.temporal1.forward(g, store, h);
             // Spatial GC per timestep: [B, N, T, C'] -> [B·T, N, C'].
             let hp = g.permute(h, &[0, 2, 1, 3]);
             let flat = g.reshape(hp, &[b * t, n, ch]);
-            let w = g.param(&self.store, block.gc);
-            let bias = g.param(&self.store, block.gc_bias);
+            let w = g.param(store, block.gc);
+            let bias = g.param(store, block.gc_bias);
             let conv = graph_conv(g, &[GcSupport::Static(support)], flat, w, Some(bias), 1);
             let act = g.relu(conv);
             let back = g.reshape(act, &[b, t, n, ch]);
             h = g.permute(back, &[0, 2, 1, 3]);
-            h = block.temporal2.forward(g, &self.store, h);
-            h = block.norm.forward(g, &self.store, h);
+            h = block.temporal2.forward(g, store, h);
+            h = block.norm.forward(g, store, h);
         }
 
         // Head from the final timestamp.
         let last = g.slice_axis(h, 2, t - 1, t);
         let last = g.reshape(last, &[b, n, ch]);
-        let out = self.head.forward(g, &self.store, last); // [B, N, F]
+        let out = self.head.forward(g, store, last); // [B, N, F]
         g.permute(out, &[0, 2, 1])
     }
 }

@@ -24,9 +24,9 @@
 //!   identifies.
 
 use crate::config::{GraphMode, ModelDims, TemporalMode};
-use enhancenet::dfgn::{split_tcn_filters, tcn_filter_dim, FilterCache};
+use enhancenet::dfgn::{split_tcn_filters, tcn_filter_dim};
 use enhancenet::gconv::gc_input_dim;
-use enhancenet::{graph_conv, Damgn, Dfgn, Forecaster, ForwardCtx, GcSupport, StaticFoldCache};
+use enhancenet::{graph_conv, Damgn, Dfgn, Forecaster, ForwardCtx, GcSupport};
 use enhancenet_autodiff::{Graph, ParamId, ParamStore, PlanCache, Var};
 use enhancenet_graph::build_supports;
 use enhancenet_nn::conv::{causal_conv_taps, receptive_field};
@@ -62,8 +62,6 @@ enum ConvWeights {
 
 struct WaveLayer {
     conv: ConvWeights,
-    /// Prediction-phase cache of DFGN-generated taps (§VI-B4).
-    cache: FilterCache,
     bias_filter: ParamId,
     bias_gate: ParamId,
     /// Residual 1×1 projection; `None` on the last layer, whose residual
@@ -110,9 +108,6 @@ struct GraphParts {
     damgn: Option<Damgn>,
     /// Graph WaveNet's self-adaptive node embeddings `(E₁, E₂)`.
     adaptive: Option<(ParamId, ParamId)>,
-    /// Eval-path cache of the DAMGN static fold `λ_A·A_s + λ_B·B`,
-    /// invalidated by weight updates via the store version.
-    fold_cache: StaticFoldCache,
 }
 
 /// Gated WaveNet forecaster (TCN / GTCN family).
@@ -304,7 +299,6 @@ impl WaveNet {
                         k_hops,
                         damgn: None,
                         adaptive: None,
-                        fold_cache: StaticFoldCache::new(),
                     }),
                     count,
                     k_hops,
@@ -353,7 +347,6 @@ impl WaveNet {
                         k_hops,
                         damgn: Some(damgn),
                         adaptive: None,
-                        fold_cache: StaticFoldCache::new(),
                     }),
                     count,
                     k_hops,
@@ -373,7 +366,6 @@ impl WaveNet {
                         k_hops,
                         damgn: None,
                         adaptive: Some((e1, e2)),
-                        fold_cache: StaticFoldCache::new(),
                     }),
                     count,
                     k_hops,
@@ -427,7 +419,6 @@ impl WaveNet {
                 let is_last = l + 1 == config.dilations.len();
                 WaveLayer {
                     conv,
-                    cache: FilterCache::new(),
                     bias_filter: store.add(format!("layer{l}.bf"), Tensor::zeros(&[ch])),
                     bias_gate: store.add(format!("layer{l}.bg"), Tensor::zeros(&[ch])),
                     residual: (!is_last).then(|| {
@@ -484,8 +475,6 @@ impl WaveNet {
     /// Binds the supports used by every layer's GC. For DAMGN models this
     /// produces one `[B·T, N, N]` dynamic adjacency per base support,
     /// derived from the input's target feature at each aligned timestamp.
-    /// During evaluation the DAMGN static fold is served from the
-    /// version-keyed [`StaticFoldCache`].
     /// `xv` is the window bound as the graph's input leaf during eval: the
     /// DAMGN signal is sliced graph-side from it, so compiled plans rebind
     /// it per request. Training passes `None` and keeps the cheaper
@@ -493,9 +482,9 @@ impl WaveNet {
     fn bind_supports(
         &self,
         g: &mut Graph,
+        store: &ParamStore,
         x: &Tensor,
         xv: Option<Var>,
-        training: bool,
     ) -> Option<Vec<GcSupport>> {
         let parts = self.graph.as_ref()?;
         let (b, t, n) = (x.shape()[0], x.shape()[1], x.shape()[2]);
@@ -511,20 +500,19 @@ impl WaveNet {
             // Top-k mode: row-sparse B and C_t over the shared pattern,
             // CSR bases handled by the linearity split in `GcSupport`.
             if let Some(k) = damgn.top_k() {
-                let binding =
-                    damgn.bind_sparse_cached(g, &self.store, k, &parts.fold_cache, training);
+                let binding = damgn.bind_sparse(g, store, damgn.shared_topk_pattern(store, k));
                 return Some(damgn.sparse_supports_at(g, &binding, &parts.sparse_supports, sig));
             }
             let base: Vec<Var> = parts.supports.iter().map(|s| g.constant(s.clone())).collect();
-            let binding = damgn.bind_cached(g, &self.store, &base, &parts.fold_cache, training);
+            let binding = damgn.bind(g, store, &base);
             let dyn_supports = damgn.dynamic_supports_at(g, &binding, sig);
             return Some(dyn_supports.into_iter().map(GcSupport::Dynamic).collect());
         }
         let mut out: Vec<GcSupport> =
             parts.supports.iter().map(|s| GcSupport::Static(g.constant(s.clone()))).collect();
         if let Some((e1, e2)) = parts.adaptive {
-            let v1 = g.param(&self.store, e1);
-            let v2 = g.param(&self.store, e2);
+            let v1 = g.param(store, e1);
+            let v2 = g.param(store, e2);
             let raw = g.matmul_nt(v1, v2);
             let act = g.relu(raw);
             out.push(GcSupport::Static(g.softmax(act, -1)));
@@ -558,10 +546,6 @@ impl Forecaster for WaveNet {
         WaveNet::damgn(self)
     }
 
-    fn damgn_fold_cache(&self) -> Option<&StaticFoldCache> {
-        Some(&self.graph.as_ref()?.fold_cache)
-    }
-
     fn memory_id(&self) -> Option<ParamId> {
         WaveNet::memory_id(self)
     }
@@ -570,7 +554,13 @@ impl Forecaster for WaveNet {
         Some(&self.plan_cache)
     }
 
-    fn forward(&self, g: &mut Graph, x: &Tensor, ctx: &mut ForwardCtx) -> Var {
+    fn forward_on(
+        &self,
+        g: &mut Graph,
+        store: &ParamStore,
+        x: &Tensor,
+        ctx: &mut ForwardCtx,
+    ) -> Var {
         let (b, t, n, c) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
         assert_eq!(n, self.dims.num_entities, "entity count mismatch");
         assert_eq!(c, self.dims.in_features, "feature count mismatch");
@@ -581,23 +571,20 @@ impl Forecaster for WaveNet {
         // Eval traces read the window through one input leaf (compilable to
         // a plan); training binds it as a constant.
         let xin = if ctx.training { g.constant(x.clone()) } else { g.input(x.clone()) };
-        let supports = self.bind_supports(g, x, (!ctx.training).then_some(xin), ctx.training);
+        let supports = self.bind_supports(g, store, x, (!ctx.training).then_some(xin));
         let k_hops = self.graph.as_ref().map_or(0, |p| p.k_hops);
 
         // [B, T, N, C] -> [B, N, T, C'] with the input projection.
         let xp = g.permute(xin, &[0, 2, 1, 3]);
-        let mut h = self.input_proj.forward(g, &self.store, xp);
+        let mut h = self.input_proj.forward(g, store, xp);
 
         let mut skip_sum: Option<Var> = None;
         for layer in &self.layers {
             // Bind this layer's 2K tap filters.
             let tap_w: Vec<Var> = match &layer.conv {
-                ConvWeights::Shared { taps } => {
-                    taps.iter().map(|&id| g.param(&self.store, id)).collect()
-                }
+                ConvWeights::Shared { taps } => taps.iter().map(|&id| g.param(store, id)).collect(),
                 ConvWeights::Generated(dfgn) => {
-                    let generated =
-                        dfgn.generate_cached(g, &self.store, &layer.cache, ctx.training);
+                    let generated = dfgn.generate(g, store);
                     let half = g.value(generated).shape()[1] / 2;
                     let filt = g.slice_axis(generated, 1, 0, half);
                     let gate = g.slice_axis(generated, 1, half, 2 * half);
@@ -623,8 +610,8 @@ impl Forecaster for WaveNet {
                     None => ga,
                 });
             }
-            let bf = g.param(&self.store, layer.bias_filter);
-            let bg = g.param(&self.store, layer.bias_gate);
+            let bf = g.param(store, layer.bias_filter);
+            let bg = g.param(store, layer.bias_gate);
             let fpre = g.add(filter_acc.expect("k >= 1"), bf);
             let gpre = g.add(gate_acc.expect("k >= 1"), bg);
             // WaveNet gating: tanh ⊙ σ.
@@ -634,10 +621,7 @@ impl Forecaster for WaveNet {
 
             // Graph convolution on the gated output (§V-C2).
             if let Some(sup) = &supports {
-                let w = g.param(
-                    &self.store,
-                    layer.gc_weight.expect("graph mode layers have gc weights"),
-                );
+                let w = g.param(store, layer.gc_weight.expect("graph mode layers have gc weights"));
                 // [B, N, T, C'] -> [B·T, N, C'] so each timestep is one
                 // batched graph signal (aligning with dynamic supports).
                 let zp = g.permute(z, &[0, 2, 1, 3]);
@@ -649,10 +633,10 @@ impl Forecaster for WaveNet {
 
             z = self.dropout.apply(g, ctx.rng, z, ctx.training);
             if let Some(residual) = &layer.residual {
-                let res = residual.forward(g, &self.store, z);
+                let res = residual.forward(g, store, z);
                 h = g.add(h, res);
             }
-            let sk = layer.skip.forward(g, &self.store, z);
+            let sk = layer.skip.forward(g, store, z);
             skip_sum = Some(match skip_sum {
                 Some(acc) => g.add(acc, sk),
                 None => sk,
@@ -664,9 +648,9 @@ impl Forecaster for WaveNet {
         let last = g.slice_axis(skip, 2, t - 1, t); // [B, N, 1, C']
         let last = g.reshape(last, &[b, n, ch]);
         let a1 = g.relu(last);
-        let h1 = self.head1.forward(g, &self.store, a1);
+        let h1 = self.head1.forward(g, store, a1);
         let a2 = g.relu(h1);
-        let out = self.head2.forward(g, &self.store, a2); // [B, N, F]
+        let out = self.head2.forward(g, store, a2); // [B, N, F]
         g.permute(out, &[0, 2, 1]) // [B, F, N]
     }
 }
@@ -860,32 +844,6 @@ mod tests {
     }
 
     #[test]
-    fn eval_damgn_fold_cache_matches_tracked_path() {
-        // The first eval forward populates the static-fold cache; the
-        // second is served from it and must be bit-identical.
-        let a = ring_adjacency(4);
-        let m = WaveNet::gtcn(
-            dims(4, 1),
-            cfg(),
-            TemporalMode::Shared,
-            GraphMode::paper_dynamic(),
-            &a,
-            3,
-        );
-        let x = TensorRng::seed(11).normal(&[2, 8, 4, 1], 0.0, 1.0);
-        let run = || {
-            let mut g = Graph::new();
-            let mut rng = TensorRng::seed(1);
-            let mut ctx = ForwardCtx::eval(&mut rng);
-            let y = m.forward(&mut g, &x, &mut ctx);
-            g.value(y).clone()
-        };
-        let first = run();
-        let second = run();
-        assert!(first.allclose(&second, 0.0));
-    }
-
-    #[test]
     fn sparse_topk_matches_dense_at_full_width() {
         // top_k = N retains every entry, so the sparse path must agree with
         // the dense DAMGN model built from the same seed (same parameters).
@@ -932,9 +890,7 @@ mod tests {
         assert_eq!(m.name(), "D-DA-GTCN");
 
         // Every parameter — DAMGN memories, θ/φ, λs, DFGN, taps — gets a
-        // gradient through the sparse path. (Grad check runs before any
-        // other eval forward so the fold/filter caches are still cold and
-        // the binding is tracked.)
+        // gradient through the sparse path.
         let x = TensorRng::seed(3).normal(&[2, 8, n, 1], 0.0, 1.0);
         let mut g = Graph::new();
         let mut rng = TensorRng::seed(4);
@@ -956,32 +912,6 @@ mod tests {
         }
         assert!(missing.is_empty(), "params with zero grad: {missing:?}");
         forward_shape(&m, 2, n, 1);
-    }
-
-    #[test]
-    fn eval_sparse_fold_cache_matches_tracked_path() {
-        // First eval forward populates the sparse fold cache (pattern +
-        // folded λ_B·B); the second is served from it, bit-identically.
-        let a = ring_adjacency(4);
-        let m = WaveNet::gtcn(
-            dims(4, 1),
-            cfg(),
-            TemporalMode::Shared,
-            GraphMode::paper_dynamic_topk(2),
-            &a,
-            3,
-        );
-        let x = TensorRng::seed(11).normal(&[2, 8, 4, 1], 0.0, 1.0);
-        let run = || {
-            let mut g = Graph::new();
-            let mut rng = TensorRng::seed(1);
-            let mut ctx = ForwardCtx::eval(&mut rng);
-            let y = m.forward(&mut g, &x, &mut ctx);
-            g.value(y).clone()
-        };
-        let first = run();
-        let second = run();
-        assert!(first.allclose(&second, 0.0));
     }
 
     #[test]

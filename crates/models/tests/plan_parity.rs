@@ -124,6 +124,74 @@ fn stgcn_plan_matches_tape() {
     check_parity(&mut Stgcn::new(dims, 2, &ring_adjacency(4), 8), 17);
 }
 
+/// Every host family of this file, built fresh.
+fn hosts() -> Vec<Box<dyn Forecaster>> {
+    let (a5, a4) = (ring_adjacency(5), ring_adjacency(4));
+    let seq_dims =
+        |h| ModelDims { num_entities: 4, in_features: 2, hidden: 6, input_len: h, output_len: 3 };
+    vec![
+        Box::new(GruSeq2Seq::paper_rnn(gru_dims(5, 2), 2, 1)),
+        Box::new(GruSeq2Seq::paper_d_rnn(gru_dims(5, 2), 2, 2)),
+        Box::new(GruSeq2Seq::paper_d_da_grnn(gru_dims(5, 2), 2, &a5, 3)),
+        Box::new(WaveNet::paper_tcn(conv_dims(4, 1), 4)),
+        Box::new(WaveNet::paper_d_da_gtcn(conv_dims(4, 1), &a4, 5)),
+        Box::new(WaveNet::paper_adaptive_baseline(conv_dims(4, 1), &a4, 6)),
+        Box::new(LstmSeq2Seq::new(seq_dims(5), 2, 7)),
+        Box::new(Stgcn::new(seq_dims(8), 2, &a4, 8)),
+    ]
+}
+
+/// A plan is a pure function of the store it was traced from: compiling a
+/// host fresh, after a predict, and after a weight nudge yields the same
+/// instruction list, the same shapes and the same constant footprint.
+#[test]
+fn every_compile_of_a_host_yields_one_instruction_list() {
+    for mut m in hosts() {
+        let name = m.name().to_string();
+        let [h, n, c] = m.input_shape().expect("paper hosts declare an input shape");
+        let window = TensorRng::seed(30).normal(&[h, n, c], 0.0, 1.0);
+        let batched = window.unsqueeze(0);
+        let compile = |m: &dyn Forecaster| m.compile_eval_plan(&batched).0.expect("plannable");
+        let fresh = compile(&*m);
+        m.predict(&window).expect("predict");
+        let after_predict = compile(&*m);
+        let id = m.store().ids().next().expect("hosts have parameters");
+        m.store_mut().value_mut(id).data_mut()[0] += 0.25;
+        let after_nudge = compile(&*m);
+        for (when, plan) in [("after a predict", &after_predict), ("after a nudge", &after_nudge)] {
+            assert_eq!(plan.op_shapes(), fresh.op_shapes(), "{name}: ops {when}");
+            assert_eq!(plan.input_shape(), fresh.input_shape(), "{name}: input {when}");
+            assert_eq!(plan.output_shape(), fresh.output_shape(), "{name}: output {when}");
+            assert_eq!(plan.const_bytes(), fresh.const_bytes(), "{name}: constants {when}");
+            assert_eq!(plan.arena_bytes(), fresh.arena_bytes(), "{name}: arena {when}");
+        }
+    }
+}
+
+/// A panic inside a cached plan run must not disable that shape: the next
+/// predict recovers the executor and answers with the tape's bits.
+#[test]
+fn a_panicked_plan_run_recovers_on_the_next_predict() {
+    for m in hosts() {
+        let name = m.name().to_string();
+        let [h, n, c] = m.input_shape().expect("paper hosts declare an input shape");
+        let window = TensorRng::seed(31).normal(&[h, n, c], 0.0, 1.0);
+        m.predict(&window).expect("compiles the batch-1 plan");
+        let cache = m.plan_cache().expect("paper hosts keep a plan cache");
+        let exec = cache.lookup(&[1, h, n, c], m.store().version()).expect("cached executor");
+        let wrong = Tensor::zeros(&[h, n + 1, c]);
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut exec = exec.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+            exec.run(&wrong, &mut Tensor::default());
+        }));
+        assert!(panicked.is_err(), "{name}: a wrong-shaped run should panic");
+        assert!(exec.is_poisoned(), "{name}: the panic should poison the executor");
+        let plan = m.predict(&window).expect("predict after a panicked run");
+        let tape = m.predict_tape(&window).expect("tape predict");
+        assert_eq!(plan.data(), tape.data(), "{name}: parity after a panicked run");
+    }
+}
+
 /// A model whose eval forward never marks an input leaf: the compiler must
 /// reject it once (`plan.fallback`), cache the failure, and route every
 /// predict through the tape — with identical results.
@@ -148,7 +216,13 @@ impl Forecaster for NoInputModel {
     fn plan_cache(&self) -> Option<&PlanCache> {
         Some(&self.plan_cache)
     }
-    fn forward(&self, g: &mut Graph, x: &Tensor, _ctx: &mut ForwardCtx) -> Var {
+    fn forward_on(
+        &self,
+        g: &mut Graph,
+        _store: &ParamStore,
+        x: &Tensor,
+        _ctx: &mut ForwardCtx,
+    ) -> Var {
         // Window data enters only through constants — unplannable.
         let last = g.constant(x.index_axis(1, x.shape()[1] - 1));
         let last = g.reshape(last, &[x.shape()[0], 1, x.shape()[2]]);

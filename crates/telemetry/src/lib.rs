@@ -20,7 +20,7 @@
 //!   calls, elements moved, parallel-vs-serial dispatch decisions, batches
 //!   and windows routed through the sharded trainer). Names are a
 //!   contract: `scripts/bench_summary --check` pins the `tensor.*`,
-//!   `serve.*`/`damgn.fold.*`, and `trainer.shard.*` families against
+//!   `serve.*`, `damgn.*`, `plan.*` and `trainer.shard.*` families against
 //!   allow-lists so dashboard keys stay stable across commits.
 //! * **Histograms** — [`observe`] feeds fixed-bucket log-scale histograms
 //!   (power-of-two bucket edges) that report p50/p95/p99 without storing

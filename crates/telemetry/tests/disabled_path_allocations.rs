@@ -1,7 +1,8 @@
 //! Proves the "near-zero overhead when disabled" contract: with telemetry
 //! off, scoped timers, trace spans, counters, histograms, and event
 //! recording perform **zero heap allocations**. Runs as its own
-//! integration binary so the counting allocator sees no interference from
+//! integration binary without the libtest harness (`harness = false`), so
+//! the counting allocator sees no interference from harness threads or
 //! sibling tests.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -25,20 +26,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-/// Telemetry state (and the allocation counter) is process-global:
-/// serialize the tests so one test's enabled-path sanity block cannot leak
-/// allocations into the other's measured window.
-fn lock_tests() -> std::sync::MutexGuard<'static, ()> {
-    static GUARD: std::sync::OnceLock<std::sync::Mutex<()>> = std::sync::OnceLock::new();
-    GUARD
-        .get_or_init(|| std::sync::Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-#[test]
 fn disabled_fast_path_is_allocation_free() {
-    let _g = lock_tests();
     enhancenet_telemetry::set_enabled(false);
     // Event payloads are only worth building when enabled; construct one
     // outside the measured window so record_event itself is what we count.
@@ -73,9 +61,7 @@ fn disabled_fast_path_is_allocation_free() {
     assert!(enhancenet_telemetry::timer_stat("alloc.test.timer").is_some());
 }
 
-#[test]
 fn disabled_span_and_histogram_paths_are_allocation_free() {
-    let _g = lock_tests();
     enhancenet_telemetry::reset();
     enhancenet_telemetry::set_enabled(false);
 
@@ -97,9 +83,7 @@ fn disabled_span_and_histogram_paths_are_allocation_free() {
     assert!(enhancenet_telemetry::histogram_summary("alloc.hist").is_none());
 }
 
-#[test]
 fn disabled_gauge_snapshot_and_slo_paths_are_allocation_free() {
-    let _g = lock_tests();
     enhancenet_telemetry::reset();
     enhancenet_telemetry::set_enabled(false);
     // The SLO ring is fixed-size after construction; build it outside the
@@ -130,4 +114,24 @@ fn disabled_gauge_snapshot_and_slo_paths_are_allocation_free() {
     // ... while the disabled registry stayed untouched and empty.
     assert!(snap.counters.is_empty() && snap.gauges.is_empty() && snap.histograms.is_empty());
     assert!(enhancenet_telemetry::gauge_value("alloc.gauge").is_none());
+}
+
+/// Runs every case in order on the main thread: no test harness shares
+/// the process, so the counter sees only the code under test.
+fn main() {
+    let cases: [(&str, fn()); 3] = [
+        ("disabled_fast_path_is_allocation_free", disabled_fast_path_is_allocation_free),
+        (
+            "disabled_span_and_histogram_paths_are_allocation_free",
+            disabled_span_and_histogram_paths_are_allocation_free,
+        ),
+        (
+            "disabled_gauge_snapshot_and_slo_paths_are_allocation_free",
+            disabled_gauge_snapshot_and_slo_paths_are_allocation_free,
+        ),
+    ];
+    for (name, case) in cases {
+        case();
+        println!("{name} ... ok");
+    }
 }

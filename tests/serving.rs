@@ -82,9 +82,15 @@ impl Forecaster for SlowModel {
     fn input_shape(&self) -> Option<[usize; 3]> {
         self.inner.input_shape()
     }
-    fn forward(&self, g: &mut Graph, x: &Tensor, ctx: &mut ForwardCtx) -> Var {
+    fn forward_on(
+        &self,
+        g: &mut Graph,
+        store: &ParamStore,
+        x: &Tensor,
+        ctx: &mut ForwardCtx,
+    ) -> Var {
         std::thread::sleep(self.sleep);
-        self.inner.forward(g, x, ctx)
+        self.inner.forward_on(g, store, x, ctx)
     }
 }
 
