@@ -1,7 +1,7 @@
 //! Serving-path latency, LA-shaped (207 entities, 12 -> 12):
 //!
-//! * `round_trip_batch1` vs `direct_predict` — the full
-//!   [`ForecastService`] round-trip (queue, worker thread, scaler
+//! * `round_trip_batch1` vs `direct_predict` — the full single-worker
+//!   [`FleetService`] tenant round-trip (queue, worker thread, scaler
 //!   inverse) must not regress against a bare `predict` call for a lone
 //!   request.
 //! * `microbatch{8,32}` vs `sequential{8,32}` — N concurrent submissions
@@ -54,14 +54,14 @@ fn la_service(
     model: Box<dyn Forecaster + Send>,
     max_batch: usize,
     max_wait: Duration,
-) -> ForecastService {
+) -> FleetService {
     ServeConfig::builder()
         .max_batch(max_batch)
         .max_wait(max_wait)
         .queue_capacity(128)
         .deadline(Duration::from_secs(30))
         .target_feature(0)
-        .spawn(model, la_scaler())
+        .spawn_fleet(model, la_scaler())
         .unwrap()
 }
 
@@ -71,7 +71,7 @@ fn la_windows(count: usize, seed: u64) -> Vec<Tensor> {
 }
 
 /// Burst of `batch` submissions answered through the micro-batch worker.
-fn burst(svc: &ForecastService, windows: &[Tensor]) {
+fn burst(svc: &FleetService, windows: &[Tensor]) {
     let pendings: Vec<_> = windows.iter().map(|w| svc.submit(w).unwrap()).collect();
     for pending in pendings {
         black_box(pending.wait(Duration::from_secs(30)).unwrap());
@@ -81,18 +81,19 @@ fn burst(svc: &ForecastService, windows: &[Tensor]) {
 /// Lone-request round trip (ingested state, full raw-scale API) vs a bare
 /// `predict` on the identical scaled window.
 fn bench_single_round_trip(c: &mut Criterion) {
-    let mut svc = la_service(gru_host(), 1, Duration::ZERO);
+    let svc = la_service(gru_host(), 1, Duration::ZERO);
+    let stream = svc.tenant("stream");
     let mut rng = TensorRng::seed(7);
+    let raw = rng.normal(&[12, LA_N, 1], 60.0, 8.0);
     for t in 0..12 {
-        let row = rng.normal(&[LA_N], 60.0, 8.0);
-        svc.ingest_row(t, row.data()).unwrap();
+        stream.ingest_row(t as i64, raw.index_axis(0, t).data()).unwrap();
     }
     c.bench_function("serve/round_trip_batch1_RNN_207", |b| {
-        b.iter(|| black_box(svc.forecast().unwrap()));
+        b.iter(|| black_box(stream.forecast().unwrap()));
     });
 
     let direct = gru_host();
-    let scaled = la_scaler().transform(&svc.state().window().unwrap()).unwrap();
+    let scaled = la_scaler().transform(&raw).unwrap();
     c.bench_function("serve/direct_predict_RNN_207", |b| {
         b.iter(|| black_box(direct.predict(&scaled).unwrap()));
     });

@@ -10,17 +10,17 @@ use std::hint::black_box;
 
 fn bench_telemetry(c: &mut Criterion) {
     enhancenet_telemetry::set_enabled(false);
-    c.bench_function("telemetry/disabled/scoped+count", |b| {
+    c.bench_function("telemetry/disabled/span+count", |b| {
         b.iter(|| {
-            let _t = enhancenet_telemetry::scoped(black_box("bench.scope"));
+            let _t = enhancenet_telemetry::span(black_box("bench.span"));
             enhancenet_telemetry::count(black_box("bench.counter"), 1);
         });
     });
 
     enhancenet_telemetry::set_enabled(true);
-    c.bench_function("telemetry/enabled/scoped+count", |b| {
+    c.bench_function("telemetry/enabled/span+count", |b| {
         b.iter(|| {
-            let _t = enhancenet_telemetry::scoped(black_box("bench.scope"));
+            let _t = enhancenet_telemetry::span(black_box("bench.span"));
             enhancenet_telemetry::count(black_box("bench.counter"), 1);
         });
     });

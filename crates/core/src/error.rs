@@ -30,7 +30,8 @@ pub enum EnhanceNetError {
         got: Vec<usize>,
     },
     /// The model cannot report its expected input shape, which the caller's
-    /// entry point requires (e.g. [`crate::serve::ForecastService`]).
+    /// entry point requires (e.g. [`crate::serve::FleetService`], which
+    /// sizes its sliding windows from it).
     UnknownInputShape {
         /// The model's `name()`.
         model: String,
@@ -59,8 +60,9 @@ pub enum EnhanceNetError {
         /// The deadline that elapsed.
         deadline: Duration,
     },
-    /// The serving worker is gone (shut down or terminated by a panic in
-    /// the model's forward pass).
+    /// The serving worker did not answer: the service shut down, or the
+    /// batch's forward pass panicked (the worker survives and serves the
+    /// next batch).
     ServiceStopped,
 }
 

@@ -89,8 +89,8 @@ pub trait Forecaster: Send + Sync {
     /// knows it. Hosts built from [`ModelDims`]-style configs report it;
     /// shape-agnostic baselines may keep the default `None`, which disables
     /// up-front validation in [`Forecaster::predict`] and bars them from
-    /// [`crate::serve::ForecastService`] (which needs the shape to size its
-    /// sliding window).
+    /// [`crate::serve::FleetService`] (which needs the shape to size its
+    /// sliding windows).
     ///
     /// [`ModelDims`]: https://docs.rs/enhancenet-models
     fn input_shape(&self) -> Option<[usize; 3]> {
@@ -137,9 +137,10 @@ pub trait Forecaster: Send + Sync {
     /// across calls. A weight change bumps the store version and
     /// transparently recompiles. Models whose trace cannot be compiled
     /// (no plan cache, or no input-marked leaf) fall back to the tape with
-    /// identical results. A plan run that panicked does not disable its
-    /// executor: the next call recovers it (counted as
-    /// `plan.executor.recovered`) and runs it again.
+    /// identical results, counted as `plan.fallback`; the serving fleet's
+    /// tape arm does the same over its snapshot store. A plan run that
+    /// panicked does not disable its executor: the next call recovers it
+    /// (counted as `plan.executor.recovered`) and runs it again.
     fn predict_into(&self, window: &Tensor, out: &mut Tensor) -> Result<(), EnhanceNetError> {
         let shape_err = |expected: Vec<usize>| EnhanceNetError::InputShape {
             expected,
@@ -224,9 +225,9 @@ pub trait Forecaster: Send + Sync {
     /// against another store.
     ///
     /// `Err` means this model's trace cannot be compiled (no
-    /// [`Graph::input`]-marked leaf, unsupported op); callers fall back to
-    /// [`Forecaster::predict_into`], which runs the tape with identical
-    /// results.
+    /// [`Graph::input`]-marked leaf, unsupported op); callers answer on the
+    /// tape instead, with identical results ([`Forecaster::predict_into`]
+    /// and the serving fleet's tape arm both do).
     fn compile_eval_plan(&self, batched: &Tensor) -> (Result<Plan, PlanError>, Tensor) {
         self.compile_eval_plan_on(self.store(), batched)
     }

@@ -61,9 +61,9 @@ pub use forecaster::{Forecaster, ForwardCtx};
 pub use gconv::{graph_conv, GcSupport};
 pub use probes::{MemoryDriftProbe, ProbeConfig};
 pub use serve::{
-    DegradedCause, FleetService, Forecast, ForecastService, PendingForecast, RequestTiming,
-    ServeConfig, ServeConfigBuilder, ShutdownMode, ShutdownReport, SnapshotPublisher, Tenant,
-    TenantQuota, TenantReport,
+    DegradedCause, FleetService, Forecast, PendingForecast, RequestTiming, ServeConfig,
+    ServeConfigBuilder, ShutdownMode, ShutdownReport, SnapshotPublisher, Tenant, TenantQuota,
+    TenantReport,
 };
 pub use trainer::{
     EpochTelemetry, EvalReport, TrainConfig, TrainConfigBuilder, TrainReport, Trainer,

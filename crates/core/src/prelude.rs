@@ -6,10 +6,9 @@
 //!
 //! Re-exports the redesigned public surface — the [`Forecaster`] trait and
 //! its `predict` entry point, the validated [`TrainConfig`] builder and
-//! [`Trainer`], the online [`ForecastService`] and multi-tenant
-//! [`FleetService`] (spawned via [`ServeConfig::builder`]), plus the
-//! dataset, scaling
-//! and metric types those APIs trade in. Tape-level machinery
+//! [`Trainer`], the online [`FleetService`] (spawned via
+//! [`ServeConfig::builder`]), plus the dataset, scaling and metric types
+//! those APIs trade in. Tape-level machinery
 //! (`enhancenet_autodiff`, `ForwardCtx`) is deliberately *not* here: it is
 //! only needed when implementing a new host model, not when using one.
 
@@ -19,9 +18,9 @@ pub use crate::error::EnhanceNetError;
 pub use crate::forecaster::Forecaster;
 pub use crate::probes::ProbeConfig;
 pub use crate::serve::{
-    DegradedCause, FleetService, Forecast, ForecastService, PendingForecast, RequestTiming,
-    ServeConfig, ServeConfigBuilder, ShutdownMode, ShutdownReport, SnapshotPublisher, Tenant,
-    TenantQuota, TenantReport,
+    DegradedCause, FleetService, Forecast, PendingForecast, RequestTiming, ServeConfig,
+    ServeConfigBuilder, ShutdownMode, ShutdownReport, SnapshotPublisher, Tenant, TenantQuota,
+    TenantReport,
 };
 pub use crate::trainer::{
     EpochTelemetry, EvalReport, TrainConfig, TrainConfigBuilder, TrainReport, Trainer,

@@ -1,5 +1,6 @@
-//! [`FleetService`]: the sharded multi-worker serving runtime with
-//! zero-downtime hot swap and per-tenant backpressure.
+//! [`FleetService`]: the serving runtime — sharded workers over a shared
+//! model snapshot, with zero-downtime hot swap and per-tenant backpressure.
+//! A single stream is a fleet with one worker and one tenant.
 //!
 //! Architecture (DESIGN §6h):
 //!
@@ -19,6 +20,11 @@
 //!   trainer a [`SnapshotPublisher`]; publishing swaps an `Arc` and bumps
 //!   an epoch — in-flight batches finish on the old weights, the next
 //!   batch adopts the new ones. No queue is paused, no request dropped.
+//! * **Tape arm** — a batch shape whose trace does not compile (no
+//!   [`Graph::input`] leaf, as in `ArimaBaseline`) is answered by an eval
+//!   forward traced over the same snapshot store, counted as
+//!   `plan.fallback`. The worker remembers the failed compile until the
+//!   next epoch, so hot-swapped weights reach the tape too.
 //! * **Backpressure** — each tenant optionally carries a token bucket
 //!   ([`TenantQuota`]); a bursting tenant is throttled at the door
 //!   (degraded [`DegradedCause::QuotaExceeded`] persistence forecast)
@@ -28,20 +34,21 @@
 //!
 //! [`PlanCache`]: enhancenet_autodiff::PlanCache
 //! [`ParamStore`]: enhancenet_autodiff::ParamStore
+//! [`Graph::input`]: enhancenet_autodiff::Graph::input
 
 use super::config::ServeConfig;
 use super::reply::{PendingForecast, ReplySlot};
 use super::snapshot::{Snapshot, SnapshotCell, SnapshotPublisher};
-use super::tenant::{record_tenant_outcome, Tenant, TenantReport, TenantState, TokenBucket};
-use super::worker::{self, BatchRequest, ShutdownState};
+use super::tenant::{Tenant, TenantReport, TenantState, TokenBucket};
+use super::worker::{self, BatchReply, BatchRequest, ShutdownState};
 use super::{DegradedCause, Forecast, RequestTiming, ShutdownMode, ShutdownReport};
 use crate::error::EnhanceNetError;
-use crate::forecaster::Forecaster;
+use crate::forecaster::{Forecaster, ForwardCtx};
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
-use enhancenet_autodiff::{Plan, PlanExecutor};
+use enhancenet_autodiff::{Graph, ParamStore, Plan, PlanExecutor};
 use enhancenet_data::{SlidingWindow, StandardScaler};
 use enhancenet_telemetry::{MetricsServer, SloReport, SloWindow};
-use enhancenet_tensor::Tensor;
+use enhancenet_tensor::{Tensor, TensorRng};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -50,9 +57,8 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// Refreshes the `serve.slo.*` gauges from a rolling-window report; shared
-/// by [`super::ForecastService`] and the fleet.
-pub(crate) fn publish_slo_gauges(report: &SloReport) {
+/// Refreshes the `serve.slo.*` gauges from a rolling-window report.
+fn publish_slo_gauges(report: &SloReport) {
     enhancenet_telemetry::gauge("serve.slo.p50_ns", report.latency_p50_ns);
     enhancenet_telemetry::gauge("serve.slo.p95_ns", report.latency_p95_ns);
     enhancenet_telemetry::gauge("serve.slo.p99_ns", report.latency_p99_ns);
@@ -70,7 +76,9 @@ struct Shard {
 
 /// A multi-tenant, multi-worker forecasting endpoint over a shared model
 /// snapshot; spawn through
-/// [`ServeConfig::builder`](super::ServeConfig::builder)`.workers(k).…spawn_fleet(model, scaler)`.
+/// [`ServeConfig::builder`](super::ServeConfig::builder)`.…spawn_fleet(model, scaler)`.
+/// [`ServeConfig::workers`] defaults to 1, so one stream is
+/// `spawn_fleet(model, scaler)?` plus one [`FleetService::tenant`].
 ///
 /// Interact per tenant: [`FleetService::tenant`] returns a [`Tenant`]
 /// handle for ingest/forecast; [`FleetService::publisher`] returns the
@@ -92,21 +100,24 @@ pub struct FleetService {
     /// Fleet-wide rolling SLO window (tenants also keep their own).
     slo: Mutex<SloWindow>,
     live_workers: Arc<AtomicUsize>,
+    /// Tenants whose window cannot assemble yet; `/readyz` waits for 0.
+    cold_tenants: Arc<AtomicUsize>,
     metrics: Option<MetricsServer>,
 }
 
 impl FleetService {
     /// The spawn path behind [`super::ServeConfigBuilder::spawn_fleet`];
-    /// assumes `config` already passed validation.
+    /// assumes `config` already passed validation and performs only the
+    /// model-dependent checks.
     ///
-    /// Beyond the single-service checks, the model must be *plannable*:
-    /// fleet workers serve exclusively through plans compiled against
-    /// published snapshots (the tape path reads the model's own store and
-    /// cannot see hot-swapped weights), so a model whose eval trace cannot
-    /// compile is rejected up front with a typed
-    /// [`EnhanceNetError::InvalidConfig`] rather than silently serving
-    /// stale weights after a swap. The probe compile is a batch-1 plan of
-    /// the epoch-0 snapshot, and every worker starts with it.
+    /// Fails with [`EnhanceNetError::UnknownInputShape`] when the model
+    /// does not report its `[H, N, C]` input shape (needed to size the
+    /// sliding windows), or [`EnhanceNetError::InvalidConfig`] for an
+    /// out-of-range `target_feature` or an unbindable
+    /// [`ServeConfig::metrics_addr`]. Every worker starts with the spawn
+    /// probe's batch-1 compile of the epoch-0 snapshot (one
+    /// `plan.cache.misses`); a model whose trace does not compile is
+    /// served on the tape arm.
     pub(crate) fn from_config(
         model: Arc<dyn Forecaster + Send>,
         scaler: StandardScaler,
@@ -122,28 +133,25 @@ impl FleetService {
             });
         }
         let snapshots = Arc::new(SnapshotCell::new(model.store()));
-        // Probe-compile a batch-1 trace of the epoch-0 snapshot: fail fast
-        // if this model can never serve hot-swapped weights.
-        let probe = Tensor::zeros(&[1, input[0], input[1], input[2]]);
-        let seed = match model.compile_eval_plan_on(&snapshots.load().store, &probe).0 {
-            Ok(plan) => Arc::new(plan),
-            Err(e) => {
-                return Err(EnhanceNetError::InvalidConfig {
-                    field: "model",
-                    reason: format!("`{}` cannot be compiled for fleet serving: {e}", model.name()),
-                })
-            }
-        };
+        let seed_shape = [1, input[0], input[1], input[2]];
+        enhancenet_telemetry::count("plan.cache.misses", 1);
+        let seed = model
+            .compile_eval_plan_on(&snapshots.load().store, &Tensor::zeros(&seed_shape))
+            .0
+            .ok()
+            .map(Arc::new);
         let horizon = model.horizon();
         let publisher = SnapshotPublisher::new(Arc::clone(&snapshots), model.store());
         let shutdown = Arc::new(ShutdownState::new());
         let live_workers = Arc::new(AtomicUsize::new(config.workers));
+        let cold_tenants = Arc::new(AtomicUsize::new(0));
         let mut shards = Vec::with_capacity(config.workers);
         for index in 0..config.workers {
             let (tx, rx) = bounded(config.queue_capacity);
             let ctx = WorkerCtx {
                 model: Arc::clone(&model),
-                seed: Arc::clone(&seed),
+                seed_shape,
+                seed: seed.clone(),
                 snapshots: Arc::clone(&snapshots),
                 rx,
                 max_batch: config.max_batch,
@@ -159,9 +167,11 @@ impl FleetService {
         }
         let metrics = match &config.metrics_addr {
             Some(addr) => {
-                let (live, workers) = (Arc::clone(&live_workers), config.workers);
-                let probe: enhancenet_telemetry::ReadyProbe =
-                    Arc::new(move || live.load(Ordering::Relaxed) == workers);
+                let (live, cold) = (Arc::clone(&live_workers), Arc::clone(&cold_tenants));
+                let workers = config.workers;
+                let probe: enhancenet_telemetry::ReadyProbe = Arc::new(move || {
+                    live.load(Ordering::Relaxed) == workers && cold.load(Ordering::Relaxed) == 0
+                });
                 Some(MetricsServer::bind(addr.as_str(), probe).map_err(|e| {
                     EnhanceNetError::InvalidConfig {
                         field: "metrics_addr",
@@ -189,6 +199,7 @@ impl FleetService {
             shutdown,
             slo,
             live_workers,
+            cold_tenants,
             metrics,
         })
     }
@@ -230,8 +241,9 @@ impl FleetService {
     }
 
     /// Address of the embedded metrics server, when
-    /// [`ServeConfig::metrics_addr`] was set (resolves port 0). Ready ⇔
-    /// every worker thread is alive.
+    /// [`ServeConfig::metrics_addr`] was set (resolves port 0). `/readyz`
+    /// is ready ⇔ every worker thread is alive and every tenant's window
+    /// is warm.
     pub fn metrics_addr(&self) -> Option<SocketAddr> {
         self.metrics.as_ref().map(MetricsServer::local_addr)
     }
@@ -251,10 +263,12 @@ impl FleetService {
             Entry::Occupied(entry) => Arc::clone(entry.get()),
             Entry::Vacant(entry) => {
                 let shard = self.next_shard.fetch_add(1, Ordering::Relaxed) % self.shards.len();
+                self.cold_tenants.fetch_add(1, Ordering::Relaxed);
                 let state = Arc::new(Mutex::new(TenantState {
                     name: name.to_string(),
                     shard,
                     buffer: SlidingWindow::new(self.input[0], self.input[1], self.input[2]),
+                    warm: false,
                     bucket: self.config.tenant_quota.map(TokenBucket::new),
                     slo: SloWindow::new(
                         self.config.slo_window,
@@ -278,20 +292,28 @@ impl FleetService {
         let tenants = self.tenants.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
         let mut reports: Vec<TenantReport> = tenants
             .values()
-            .map(|state| {
-                let state = state.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-                TenantReport {
-                    tenant: state.name.clone(),
-                    shard: state.shard,
-                    requests: state.requests,
-                    throttled: state.throttled,
-                    degraded: state.degraded,
-                    slo: state.slo.report(),
-                }
-            })
+            .map(|state| state.lock().unwrap_or_else(|poisoned| poisoned.into_inner()).report())
             .collect();
         reports.sort_by(|a, b| a.tenant.cmp(&b.tenant));
         reports
+    }
+
+    /// Keeps the readiness count and the `serve.window.fill` gauge in step
+    /// with a tenant's window after every mutation.
+    pub(crate) fn refresh_window(&self, tenant: &mut TenantState) {
+        let warm = tenant.buffer.is_ready();
+        if warm != tenant.warm {
+            tenant.warm = warm;
+            if warm {
+                self.cold_tenants.fetch_sub(1, Ordering::Relaxed);
+            } else {
+                self.cold_tenants.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        enhancenet_telemetry::gauge(
+            "serve.window.fill",
+            tenant.buffer.len() as f64 / self.input[0] as f64,
+        );
     }
 
     /// Submits a pre-scaled `[H, N, C]` window to shard
@@ -333,15 +355,56 @@ impl FleetService {
     /// The forecast path behind [`Tenant::forecast`].
     pub(crate) fn tenant_forecast(
         &self,
-        state: &Arc<Mutex<TenantState>>,
+        state: &Mutex<TenantState>,
     ) -> Result<Forecast, EnhanceNetError> {
         enhancenet_telemetry::count("serve.request", 1);
         enhancenet_telemetry::count("serve.tenant.requests", 1);
         let id = self.next_request_id.fetch_add(1, Ordering::Relaxed);
         let started = Instant::now();
-        // Hold the tenant lock only through admission + window assembly;
-        // the wait for the worker parks outside it, so one tenant's slow
-        // request never blocks its neighbors' ingest.
+        let (anchor, answer) = self.ask_model(state, id)?;
+        let (values, degraded, timing) = match answer {
+            Ok(reply) => {
+                let values = self.scaler.inverse_feature(&reply.values, self.config.target_feature);
+                let timing = RequestTiming {
+                    queue_wait_ns: reply.queue_wait_ns,
+                    forward_ns: reply.forward_ns,
+                    total_ns: 0,
+                };
+                (values, None, timing)
+            }
+            Err(cause) => {
+                let values = {
+                    let tenant = state.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+                    let persisted = tenant
+                        .buffer
+                        .persistence_forecast(self.horizon, self.config.target_feature);
+                    persisted.ok_or(EnhanceNetError::NotReady {
+                        have: tenant.buffer.len(),
+                        need: self.input[0],
+                    })?
+                };
+                enhancenet_telemetry::count("serve.fallback", 1);
+                enhancenet_telemetry::count(cause.counter_label(), 1);
+                (values, Some(cause), RequestTiming::default())
+            }
+        };
+        let total_ns = started.elapsed().as_nanos() as u64;
+        enhancenet_telemetry::observe("serve.latency_ns", total_ns as f64);
+        self.record_outcome(state, total_ns, degraded.is_some());
+        let timing = RequestTiming { total_ns, ..timing };
+        Ok(Forecast { values, degraded, anchor, request_id: id, timing })
+    }
+
+    /// Admission, window assembly and the model round trip for one
+    /// request: the window's anchor plus the model's reply, or the cause
+    /// to degrade with. The tenant lock is held only through admission and
+    /// window assembly; the wait for the worker parks outside it, so one
+    /// tenant's slow request never blocks its neighbors' ingest.
+    fn ask_model(
+        &self,
+        state: &Mutex<TenantState>,
+        id: u64,
+    ) -> Result<(Option<i64>, Result<BatchReply, DegradedCause>), EnhanceNetError> {
         let (shard, anchor, raw) = {
             let mut tenant = state.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
             tenant.requests += 1;
@@ -350,113 +413,47 @@ impl FleetService {
                 if !bucket.try_take() {
                     tenant.throttled += 1;
                     enhancenet_telemetry::count("serve.tenant.throttled", 1);
-                    drop(tenant);
-                    return self.tenant_fallback(
-                        state,
-                        id,
-                        anchor,
-                        started,
-                        DegradedCause::QuotaExceeded,
-                    );
+                    return Ok((anchor, Err(DegradedCause::QuotaExceeded)));
                 }
             }
-            match tenant.buffer.window() {
-                Some(raw) => (tenant.shard, anchor, raw),
-                None => {
-                    drop(tenant);
-                    return self.tenant_fallback(
-                        state,
-                        id,
-                        anchor,
-                        started,
-                        DegradedCause::ColdWindow,
-                    );
-                }
-            }
+            let Some(raw) = tenant.buffer.window() else {
+                return Ok((anchor, Err(DegradedCause::ColdWindow)));
+            };
+            (tenant.shard, anchor, raw)
         };
         let scaled = self.scaler.transform(&raw)?;
-        let pending = match self.submit_to_shard(shard, &scaled, id) {
-            Ok(pending) => pending,
-            Err(EnhanceNetError::Overloaded { .. }) => {
-                return self.tenant_fallback(state, id, anchor, started, DegradedCause::QueueFull);
-            }
-            Err(_) => {
-                return self.tenant_fallback(
-                    state,
-                    id,
-                    anchor,
-                    started,
-                    DegradedCause::WorkerPanic,
-                );
-            }
+        let answer = match self.submit_to_shard(shard, &scaled, id) {
+            Ok(pending) => pending.wait_reply(self.config.deadline).map_err(|e| match e {
+                EnhanceNetError::DeadlineExceeded { .. } => DegradedCause::Deadline,
+                _ => DegradedCause::WorkerPanic,
+            }),
+            Err(EnhanceNetError::Overloaded { .. }) => Err(DegradedCause::QueueFull),
+            Err(_) => Err(DegradedCause::WorkerPanic),
         };
-        match pending.wait_reply(self.config.deadline) {
-            Ok(reply) => {
-                let values = self.scaler.inverse_feature(&reply.values, self.config.target_feature);
-                let total_ns = started.elapsed().as_nanos() as u64;
-                enhancenet_telemetry::observe("serve.latency_ns", total_ns as f64);
-                self.record_outcome(total_ns, false);
-                record_tenant_outcome(state, total_ns, self.config.deadline.as_nanos(), false);
-                Ok(Forecast {
-                    values,
-                    degraded: None,
-                    anchor,
-                    request_id: id,
-                    timing: RequestTiming {
-                        queue_wait_ns: reply.queue_wait_ns,
-                        forward_ns: reply.forward_ns,
-                        total_ns,
-                    },
-                })
-            }
-            Err(EnhanceNetError::DeadlineExceeded { .. }) => {
-                self.tenant_fallback(state, id, anchor, started, DegradedCause::Deadline)
-            }
-            Err(_) => self.tenant_fallback(state, id, anchor, started, DegradedCause::WorkerPanic),
-        }
+        Ok((anchor, answer))
     }
 
-    fn tenant_fallback(
-        &self,
-        state: &Arc<Mutex<TenantState>>,
-        id: u64,
-        anchor: Option<i64>,
-        started: Instant,
-        cause: DegradedCause,
-    ) -> Result<Forecast, EnhanceNetError> {
-        let values = {
-            let tenant = state.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-            tenant.buffer.persistence_forecast(self.horizon, self.config.target_feature).ok_or(
-                EnhanceNetError::NotReady { have: tenant.buffer.len(), need: self.input[0] },
-            )?
-        };
-        enhancenet_telemetry::count("serve.fallback", 1);
-        enhancenet_telemetry::count(cause.counter_label(), 1);
-        let total_ns = started.elapsed().as_nanos() as u64;
-        enhancenet_telemetry::observe("serve.latency_ns", total_ns as f64);
-        self.record_outcome(total_ns, true);
-        record_tenant_outcome(state, total_ns, self.config.deadline.as_nanos(), true);
-        Ok(Forecast {
-            values,
-            degraded: Some(cause),
-            anchor,
-            request_id: id,
-            timing: RequestTiming { queue_wait_ns: 0, forward_ns: 0, total_ns },
-        })
-    }
-
-    /// Fleet-wide outcome recording; tenants record separately.
-    fn record_outcome(&self, total_ns: u64, degraded: bool) {
+    /// Feeds one request outcome into the tenant's and the fleet's rolling
+    /// SLO windows, and refreshes the `serve.slo.*` gauges from the
+    /// fleet's. Deadline attainment is judged on latency alone — a fast
+    /// fallback still "hit" its deadline; degradation is its own rate.
+    fn record_outcome(&self, state: &Mutex<TenantState>, total_ns: u64, degraded: bool) {
         let deadline_hit = u128::from(total_ns) <= self.config.deadline.as_nanos();
-        let report = {
-            let mut slo = self.slo.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-            slo.record(total_ns as f64, deadline_hit, degraded);
-            if !enhancenet_telemetry::enabled() {
-                return;
+        {
+            let mut tenant = state.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+            tenant.slo.record(total_ns as f64, deadline_hit, degraded);
+            if degraded {
+                tenant.degraded += 1;
+                enhancenet_telemetry::count("serve.tenant.degraded", 1);
             }
-            slo.report()
-        };
-        publish_slo_gauges(&report);
+        }
+        let mut slo = self.slo.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+        slo.record(total_ns as f64, deadline_hit, degraded);
+        if enhancenet_telemetry::enabled() {
+            let report = slo.report();
+            drop(slo);
+            publish_slo_gauges(&report);
+        }
     }
 
     /// Stops every worker and joins them. [`ShutdownMode::Drain`] answers
@@ -491,8 +488,11 @@ impl Drop for FleetService {
 /// Everything one fleet worker thread owns.
 struct WorkerCtx {
     model: Arc<dyn Forecaster + Send>,
-    /// The spawn probe's batch-1 plan of the epoch-0 snapshot.
-    seed: Arc<Plan>,
+    /// `[1, H, N, C]`: the batch shape the spawn probe compiled.
+    seed_shape: [usize; 4],
+    /// The spawn probe's plan of the epoch-0 snapshot; `None` when the
+    /// model's trace does not compile.
+    seed: Option<Arc<Plan>>,
     snapshots: Arc<SnapshotCell>,
     rx: Receiver<BatchRequest>,
     max_batch: usize,
@@ -515,18 +515,17 @@ impl Drop for LiveGuard {
 ///
 /// Plan executors are keyed by batched input shape and scoped to the
 /// snapshot epoch they were compiled under: the map starts with the spawn
-/// probe's epoch-0 plan, a hot swap clears it (counted once per worker as
+/// probe's epoch-0 result, a hot swap clears it (counted once per worker as
 /// `serve.swap.adopted`), and the next batch per shape compiles against
-/// the new snapshot. Hits and misses feed the same `plan.cache.*` counters
-/// as the single-service path, so the CI metric contract holds across both
-/// runtimes.
+/// the new snapshot. A `None` entry is a shape whose compile failed; its
+/// batches run on the tape arm until the next epoch.
 fn fleet_worker_loop(ctx: WorkerCtx) {
     let _guard = LiveGuard(Arc::clone(&ctx.live));
     let mut batch_x = Tensor::default();
     let mut pred = Tensor::default();
     let mut epoch = 0;
-    let mut execs: HashMap<Vec<usize>, PlanExecutor> = HashMap::new();
-    execs.insert(ctx.seed.input_shape().to_vec(), PlanExecutor::new(Arc::clone(&ctx.seed)));
+    let mut execs: HashMap<[usize; 4], Option<PlanExecutor>> = HashMap::new();
+    execs.insert(ctx.seed_shape, ctx.seed.clone().map(PlanExecutor::new));
     while let Some(batch) = worker::next_batch(&ctx.rx, ctx.max_batch, ctx.max_wait) {
         match ctx.shutdown.mode() {
             Some(ShutdownMode::Now) => worker::shed_batch(batch, &ctx.shutdown),
@@ -554,31 +553,46 @@ fn fleet_worker_loop(ctx: WorkerCtx) {
 }
 
 /// Executes one batched forward for a fleet worker: look up the plan for
-/// this batch shape, or compile it against the snapshot store, and run it.
+/// this batch shape, or compile it against the snapshot store, and run it;
+/// a shape that does not compile runs on the tape over the same store.
 fn run_on_snapshot(
     model: &dyn Forecaster,
     snapshot: &Snapshot,
-    execs: &mut HashMap<Vec<usize>, PlanExecutor>,
+    execs: &mut HashMap<[usize; 4], Option<PlanExecutor>>,
     x: &Tensor,
     out: &mut Tensor,
-) -> Result<(), EnhanceNetError> {
-    let exec = match execs.entry(x.shape().to_vec()) {
+) {
+    // A stack key, so warm lookups stay allocation-free.
+    let key: [usize; 4] = x.shape().try_into().expect("batches stack to [B, H, N, C]");
+    let exec = match execs.entry(key) {
         Entry::Occupied(entry) => {
-            enhancenet_telemetry::count("plan.cache.hits", 1);
+            if entry.get().is_some() {
+                enhancenet_telemetry::count("plan.cache.hits", 1);
+            }
             entry.into_mut()
         }
         Entry::Vacant(entry) => {
             enhancenet_telemetry::count("plan.cache.misses", 1);
             let (compiled, _traced) = model.compile_eval_plan_on(&snapshot.store, x);
-            match compiled {
-                Ok(plan) => entry.insert(PlanExecutor::new(plan)),
-                // Probed plannable at spawn; a shape-dependent compile
-                // failure degrades this batch instead of killing the
-                // worker.
-                Err(_) => return Err(EnhanceNetError::ServiceStopped),
-            }
+            entry.insert(compiled.ok().map(PlanExecutor::new))
         }
     };
-    exec.run(x, out);
-    Ok(())
+    match exec {
+        Some(exec) => exec.run(x, out),
+        None => {
+            enhancenet_telemetry::count("plan.fallback", 1);
+            run_tape(model, &snapshot.store, x, out);
+        }
+    }
+}
+
+/// The tape arm: one eval forward over `store`, traced for this batch.
+fn run_tape(model: &dyn Forecaster, store: &ParamStore, x: &Tensor, out: &mut Tensor) {
+    // The eval context draws nothing from the RNG (dropout off, no teacher
+    // forcing), so a fixed seed keeps the trace deterministic.
+    let mut rng = TensorRng::seed(0);
+    let mut ctx = ForwardCtx::eval(&mut rng);
+    let mut g = Graph::new();
+    let pred = model.forward_on(&mut g, store, x, &mut ctx);
+    out.copy_from(g.value(pred));
 }

@@ -1,36 +1,35 @@
 //! Online forecast serving: sliding-window state, micro-batching, graceful
-//! degradation, and a sharded multi-worker fleet around trained
-//! [`Forecaster`]s.
+//! degradation, and hot swap, around trained [`Forecaster`]s.
 //!
 //! The offline path (train → [`crate::Trainer::evaluate`]) assumes the whole
 //! dataset is materialized. A deployed forecaster instead sees a stream of
 //! raw observations and must answer "what happens over the next `F` steps?"
-//! at any moment, within a latency budget. Two services close that gap:
-//!
-//! * [`ForecastService`] — one stream, one model, one worker thread. Raw
-//!   observations are ingested into a [`SlidingWindow`] ring buffer;
-//!   requests funnel through a bounded queue to a worker that answers them
-//!   in micro-batches; every failure mode (cold window, missed deadline,
-//!   full queue, worker panic) degrades to a persistence forecast tagged
-//!   with its [`DegradedCause`] instead of erroring or hanging.
-//! * [`FleetService`] — the same contract at fleet scale: requests are
-//!   sharded across `K` worker threads by tenant affinity, each worker
-//!   owning a private compiled-plan executor over a **shared model
-//!   snapshot**; a background trainer hot-swaps models with zero downtime
-//!   by publishing a new snapshot through an epoch cell
-//!   ([`FleetService::publisher`] — in-flight batches finish on the old
-//!   snapshot); and every tenant carries its own sliding window,
-//!   token-bucket quota ([`TenantQuota`]) and rolling SLO window, so one
-//!   bursting tenant is throttled ([`DegradedCause::QuotaExceeded`])
-//!   instead of starving the rest.
+//! at any moment, within a latency budget. One runtime closes that gap:
+//! [`FleetService`]. Requests are sharded across `K` worker threads by
+//! tenant affinity, each worker owning private compiled plans of a
+//! **shared model snapshot** (a tape arm answers shapes whose trace does
+//! not compile). Each tenant ([`Tenant`]) ingests raw observations into its
+//! own [`SlidingWindow`] and carries its own token-bucket quota
+//! ([`TenantQuota`]) and rolling SLO window. A background trainer
+//! hot-swaps weights with zero downtime through
+//! [`FleetService::publisher`]; in-flight batches finish on the old
+//! snapshot. Every failure mode (cold window, missed deadline, full queue,
+//! worker panic, dry quota) degrades to a persistence forecast tagged with
+//! its [`DegradedCause`] instead of erroring or hanging.
 //!
 //! Construction goes through the validating [`ServeConfig::builder`]
-//! (mirroring `TrainConfig::builder`): [`ServeConfigBuilder::spawn`] for a
-//! single service, [`ServeConfigBuilder::spawn_fleet`] for the fleet.
-//! Lifecycle ends with [`ForecastService::shutdown`] /
-//! [`FleetService::shutdown`], which take a [`ShutdownMode`] —
-//! [`ShutdownMode::Drain`] completes queued requests,
-//! [`ShutdownMode::Now`] sheds them — and return a typed
+//! (mirroring `TrainConfig::builder`) and
+//! [`ServeConfigBuilder::spawn_fleet`]. A single stream is the default
+//! one-worker fleet plus one [`FleetService::tenant`]:
+//!
+//! ```ignore
+//! let fleet = ServeConfig::builder().spawn_fleet(model, scaler)?;
+//! let stream = fleet.tenant("sensors");
+//! ```
+//!
+//! Lifecycle ends with [`FleetService::shutdown`], which takes a
+//! [`ShutdownMode`] — [`ShutdownMode::Drain`] completes queued requests,
+//! [`ShutdownMode::Now`] sheds them — and returns a typed
 //! [`ShutdownReport`].
 //!
 //! Telemetry: counters `serve.request`, `serve.fallback` (plus per-cause
@@ -42,7 +41,9 @@
 //! `serve.queue.depth`, `serve.window.fill`, `serve.slo.*`,
 //! `serve.tenant.active`, `serve.swap.epoch`, `serve.fleet.workers`;
 //! histograms `serve.batch.size`, `serve.latency_ns`, `serve.forward_ns`,
-//! `serve.queue.wait_ns`; span `serve.batch`.
+//! `serve.queue.wait_ns`; span `serve.batch`. Workers also count
+//! `plan.cache.hits` / `plan.cache.misses` and, on the tape arm,
+//! `plan.fallback`.
 //!
 //! [`Forecaster`]: crate::forecaster::Forecaster
 //! [`SlidingWindow`]: enhancenet_data::SlidingWindow
@@ -50,7 +51,6 @@
 mod config;
 mod fleet;
 mod reply;
-mod service;
 mod snapshot;
 mod tenant;
 mod worker;
@@ -58,7 +58,6 @@ mod worker;
 pub use config::{ServeConfig, ServeConfigBuilder};
 pub use fleet::FleetService;
 pub use reply::PendingForecast;
-pub use service::ForecastService;
 pub use snapshot::SnapshotPublisher;
 pub use tenant::{Tenant, TenantQuota, TenantReport};
 
@@ -161,9 +160,8 @@ pub enum ShutdownMode {
     Now,
 }
 
-/// Typed accounting returned by [`ForecastService::shutdown`] and
-/// [`FleetService::shutdown`]: what happened to requests that were still
-/// queued when the shutdown began.
+/// Typed accounting returned by [`FleetService::shutdown`]: what happened
+/// to requests that were still queued when the shutdown began.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShutdownReport {
     /// Requests answered by the model between the shutdown signal and

@@ -114,7 +114,7 @@ impl std::fmt::Debug for ReplyHandle {
 }
 
 /// Handle to an in-flight prediction submitted with
-/// [`super::ForecastService::submit`] or [`super::FleetService::submit`].
+/// [`super::FleetService::submit`].
 pub struct PendingForecast {
     pub(crate) slot: Arc<ReplySlot>,
     /// When the request entered the queue. The deadline clock starts here,

@@ -101,11 +101,27 @@ pub(crate) struct TenantState {
     /// a tenant's batches on one worker's warm plan executors).
     pub(crate) shard: usize,
     pub(crate) buffer: SlidingWindow,
+    /// Whether `buffer` could assemble a window at the last mutation; the
+    /// fleet's `/readyz` counts the tenants where it is false.
+    pub(crate) warm: bool,
     pub(crate) bucket: Option<TokenBucket>,
     pub(crate) slo: SloWindow,
     pub(crate) requests: u64,
     pub(crate) throttled: u64,
     pub(crate) degraded: u64,
+}
+
+impl TenantState {
+    pub(crate) fn report(&self) -> TenantReport {
+        TenantReport {
+            tenant: self.name.clone(),
+            shard: self.shard,
+            requests: self.requests,
+            throttled: self.throttled,
+            degraded: self.degraded,
+            slo: self.slo.report(),
+        }
+    }
 }
 
 /// Point-in-time statistics for one tenant; see [`Tenant::report`].
@@ -128,11 +144,8 @@ pub struct TenantReport {
 /// A handle to one tenant's stream within a [`FleetService`]; obtained
 /// from [`FleetService::tenant`], cheap to re-acquire.
 ///
-/// Ingest and forecast mirror the single-service API
-/// ([`super::ForecastService::ingest`] /
-/// [`super::ForecastService::forecast`]), but state, quota, and SLO
-/// accounting are all per-tenant, and requests route to the tenant's
-/// assigned worker shard.
+/// State, quota, and SLO accounting are all per-tenant, and requests route
+/// to the tenant's assigned worker shard.
 pub struct Tenant<'a> {
     pub(crate) fleet: &'a FleetService,
     pub(crate) state: Arc<Mutex<TenantState>>,
@@ -165,32 +178,43 @@ impl Tenant<'_> {
     }
 
     /// Ingests one entity's raw observation at `timestamp`; see
-    /// [`SlidingWindow::ingest`].
+    /// [`SlidingWindow::ingest`] for the fill-forward and late-update
+    /// semantics.
     pub fn ingest(
         &self,
         timestamp: i64,
         entity: usize,
         features: &[f32],
     ) -> Result<(), EnhanceNetError> {
-        self.lock().buffer.ingest(timestamp, entity, features)?;
+        let mut state = self.lock();
+        state.buffer.ingest(timestamp, entity, features)?;
+        self.fleet.refresh_window(&mut state);
         Ok(())
     }
 
     /// Ingests a full raw snapshot row (`N * C` values) at `timestamp`.
     pub fn ingest_row(&self, timestamp: i64, row: &[f32]) -> Result<(), EnhanceNetError> {
-        self.lock().buffer.ingest_row(timestamp, row)?;
+        let mut state = self.lock();
+        state.buffer.ingest_row(timestamp, row)?;
+        self.fleet.refresh_window(&mut state);
         Ok(())
     }
 
-    /// Drops buffered history older than `cutoff`.
+    /// Drops buffered history older than `cutoff` (e.g. after a feed gap).
     pub fn evict_before(&self, cutoff: i64) {
-        self.lock().buffer.evict_before(cutoff);
+        let mut state = self.lock();
+        state.buffer.evict_before(cutoff);
+        self.fleet.refresh_window(&mut state);
     }
 
-    /// Forecasts the next `F` steps from this tenant's window; same
-    /// degradation contract as [`super::ForecastService::forecast`], plus
-    /// [`super::DegradedCause::QuotaExceeded`] when the tenant's token bucket is
-    /// dry (the request never reaches the shared queues).
+    /// Forecasts the next `F` steps from this tenant's window, degrading to
+    /// a persistence forecast when the model cannot answer in time.
+    ///
+    /// Errors only when *nothing* can be served: no observation has ever
+    /// been ingested ([`EnhanceNetError::NotReady`]) or the scaler rejects
+    /// the window shape. Every other failure path — warming window, dry
+    /// token bucket, full queue, missed deadline, worker panic — returns a
+    /// degraded forecast tagged with its [`super::DegradedCause`].
     pub fn forecast(&self) -> Result<Forecast, EnhanceNetError> {
         self.fleet.tenant_forecast(&self.state)
     }
@@ -198,31 +222,6 @@ impl Tenant<'_> {
     /// Point-in-time statistics: request/throttle/degraded counts and the
     /// tenant's rolling SLO window.
     pub fn report(&self) -> TenantReport {
-        let state = self.lock();
-        TenantReport {
-            tenant: state.name.clone(),
-            shard: state.shard,
-            requests: state.requests,
-            throttled: state.throttled,
-            degraded: state.degraded,
-            slo: state.slo.report(),
-        }
-    }
-}
-
-/// The outcome bookkeeping shared by the fleet's healthy and fallback
-/// paths: records into the tenant's SLO window and bumps its counters.
-pub(crate) fn record_tenant_outcome(
-    state: &Mutex<TenantState>,
-    total_ns: u64,
-    deadline_ns: u128,
-    degraded: bool,
-) {
-    let mut state = state.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-    let deadline_hit = u128::from(total_ns) <= deadline_ns;
-    state.slo.record(total_ns as f64, deadline_hit, degraded);
-    if degraded {
-        state.degraded += 1;
-        enhancenet_telemetry::count("serve.tenant.degraded", 1);
+        self.lock().report()
     }
 }

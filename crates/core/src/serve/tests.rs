@@ -4,7 +4,7 @@ use super::*;
 use crate::error::EnhanceNetError;
 use crate::forecaster::test_model::AffinePersistence;
 use crate::forecaster::{Forecaster, ForwardCtx};
-use enhancenet_autodiff::{Graph, ParamStore, Var};
+use enhancenet_autodiff::{Graph, ParamStore, Plan, PlanError, Var};
 use enhancenet_data::StandardScaler;
 use enhancenet_tensor::{Tensor, TensorRng};
 use std::time::{Duration, Instant};
@@ -20,24 +20,38 @@ fn scaler() -> StandardScaler {
     StandardScaler::fit(&history, 30).unwrap()
 }
 
-fn service(builder: ServeConfigBuilder) -> ForecastService {
+fn fleet(builder: ServeConfigBuilder) -> FleetService {
     let model = AffinePersistence::new(F).with_input_shape(H, N, C);
-    builder.spawn(Box::new(model), scaler()).unwrap()
+    builder.spawn_fleet(Box::new(model), scaler()).unwrap()
 }
 
-fn feed(svc: &mut ForecastService, steps: usize) {
+/// Ingests `steps` rows where entity `e` at step `t` reads `base + t + e`.
+fn feed(tenant: &Tenant<'_>, steps: usize, base: f32) {
     for t in 0..steps {
         for e in 0..N {
-            svc.ingest(t as i64, e, &[40.0 + t as f32 + e as f32]).unwrap();
+            tenant.ingest(t as i64, e, &[base + t as f32 + e as f32]).unwrap();
         }
     }
 }
 
+/// The raw `[H, N, C]` window `feed(tenant, H, base)` leaves buffered.
+fn fed_window(base: f32) -> Tensor {
+    let data = (0..H).flat_map(|t| (0..N).map(move |e| base + t as f32 + e as f32)).collect();
+    Tensor::from_vec(data, &[H, N, C])
+}
+
+/// `model`'s offline raw-scale forecast over `feed(_, H, base)`'s window.
+fn offline(model: &dyn Forecaster, base: f32) -> Tensor {
+    let sc = scaler();
+    sc.inverse_feature(&model.predict(&sc.transform(&fed_window(base)).unwrap()).unwrap(), 0)
+}
+
 #[test]
 fn served_forecast_matches_offline_predict() {
-    let mut svc = service(ServeConfig::builder());
-    feed(&mut svc, H);
-    let served = svc.forecast().unwrap();
+    let svc = fleet(ServeConfig::builder());
+    let stream = svc.tenant("stream");
+    feed(&stream, H, 40.0);
+    let served = stream.forecast().unwrap();
     assert!(!served.is_degraded());
     assert_eq!(served.degraded, None);
     assert_eq!(served.anchor, Some(H as i64 - 1));
@@ -45,16 +59,13 @@ fn served_forecast_matches_offline_predict() {
 
     // The offline path over the same observations, scaled the same way.
     let model = AffinePersistence::new(F).with_input_shape(H, N, C);
-    let sc = scaler();
-    let raw = svc.state().window().unwrap();
-    let offline = sc.inverse_feature(&model.predict(&sc.transform(&raw).unwrap()).unwrap(), 0);
-    assert_eq!(served.values.data(), offline.data());
+    assert_eq!(served.values.data(), offline(&model, 40.0).data());
 }
 
 #[test]
 fn empty_service_reports_not_ready() {
-    let svc = service(ServeConfig::builder());
-    match svc.forecast() {
+    let svc = fleet(ServeConfig::builder());
+    match svc.tenant("stream").forecast() {
         Err(EnhanceNetError::NotReady { have: 0, need }) => assert_eq!(need, H),
         other => panic!("expected NotReady, got {other:?}"),
     }
@@ -62,10 +73,11 @@ fn empty_service_reports_not_ready() {
 
 #[test]
 fn warming_buffer_serves_degraded_persistence() {
-    let mut svc = service(ServeConfig::builder());
-    svc.ingest(0, 0, &[42.0]).unwrap();
-    assert!(!svc.is_ready());
-    let f = svc.forecast().unwrap();
+    let svc = fleet(ServeConfig::builder());
+    let stream = svc.tenant("stream");
+    stream.ingest(0, 0, &[42.0]).unwrap();
+    assert!(!stream.is_ready());
+    let f = stream.forecast().unwrap();
     assert_eq!(f.degraded, Some(DegradedCause::ColdWindow));
     assert!(f.is_degraded());
     assert_eq!(f.values.shape(), &[F, N]);
@@ -77,10 +89,11 @@ fn warming_buffer_serves_degraded_persistence() {
 
 #[test]
 fn request_ids_are_monotonic_and_timing_populated() {
-    let mut svc = service(ServeConfig::builder());
-    feed(&mut svc, H);
-    let a = svc.forecast().unwrap();
-    let b = svc.forecast().unwrap();
+    let svc = fleet(ServeConfig::builder());
+    let stream = svc.tenant("stream");
+    feed(&stream, H, 40.0);
+    let a = stream.forecast().unwrap();
+    let b = stream.forecast().unwrap();
     assert!(b.request_id > a.request_id, "ids must grow: {} then {}", a.request_id, b.request_id);
     for f in [&a, &b] {
         assert!(f.timing.total_ns > 0);
@@ -95,11 +108,12 @@ fn request_ids_are_monotonic_and_timing_populated() {
 
 #[test]
 fn slo_report_tracks_outcomes() {
-    let mut svc = service(ServeConfig::builder());
-    svc.ingest(0, 0, &[42.0]).unwrap();
-    let _ = svc.forecast().unwrap(); // cold-window fallback
-    feed(&mut svc, H);
-    let _ = svc.forecast().unwrap(); // healthy
+    let svc = fleet(ServeConfig::builder());
+    let stream = svc.tenant("stream");
+    stream.ingest(0, 0, &[42.0]).unwrap();
+    let _ = stream.forecast().unwrap(); // cold-window fallback
+    feed(&stream, H, 40.0);
+    let _ = stream.forecast().unwrap(); // healthy
     let report = svc.slo_report();
     assert_eq!(report.requests, 2);
     assert!((report.degraded_rate - 0.5).abs() < 1e-12);
@@ -110,7 +124,9 @@ fn slo_report_tracks_outcomes() {
     assert_eq!(report.window, svc.config().slo_window);
 }
 
-/// A model that sleeps in `forward`, simulating an overloaded backend.
+/// A model that sleeps in `forward`, simulating an overloaded backend. It
+/// refuses compilation, so the fleet serves every batch on the tape arm
+/// and every batch pays the sleep.
 struct SlowModel {
     inner: AffinePersistence,
     sleep: Duration,
@@ -142,6 +158,13 @@ impl Forecaster for SlowModel {
         std::thread::sleep(self.sleep);
         self.inner.forward_on(g, store, x, ctx)
     }
+    fn compile_eval_plan_on(
+        &self,
+        _store: &ParamStore,
+        _batched: &Tensor,
+    ) -> (Result<Plan, PlanError>, Tensor) {
+        (Err(PlanError::NoInput), Tensor::default())
+    }
 }
 
 #[test]
@@ -150,13 +173,14 @@ fn missed_deadline_degrades_without_hanging() {
         inner: AffinePersistence::new(F).with_input_shape(H, N, C),
         sleep: Duration::from_millis(200),
     };
-    let mut svc = ServeConfig::builder()
+    let svc = ServeConfig::builder()
         .deadline(Duration::from_millis(5))
-        .spawn(Box::new(model), scaler())
+        .spawn_fleet(Box::new(model), scaler())
         .unwrap();
-    feed(&mut svc, H);
+    let stream = svc.tenant("stream");
+    feed(&stream, H, 40.0);
     let started = Instant::now();
-    let f = svc.forecast().unwrap();
+    let f = stream.forecast().unwrap();
     assert_eq!(f.degraded, Some(DegradedCause::Deadline));
     assert!(
         started.elapsed() < Duration::from_millis(150),
@@ -176,20 +200,21 @@ fn overloaded_queue_degrades_with_queue_full_cause() {
         inner: AffinePersistence::new(F).with_input_shape(H, N, C),
         sleep: Duration::from_millis(300),
     };
-    let mut svc = ServeConfig::builder()
+    let svc = ServeConfig::builder()
         .max_batch(1)
         .queue_capacity(1)
         .deadline(Duration::from_millis(5))
-        .spawn(Box::new(model), scaler())
+        .spawn_fleet(Box::new(model), scaler())
         .unwrap();
-    feed(&mut svc, H);
+    let stream = svc.tenant("stream");
+    feed(&stream, H, 40.0);
     // Occupy the worker with one request and fill the 1-deep queue with
     // another; the next forecast cannot enqueue and must degrade.
     let window = Tensor::zeros(&[H, N, C]);
     let _busy = svc.submit(&window).unwrap();
     std::thread::sleep(Duration::from_millis(30)); // let the worker take it
     let _queued = svc.submit(&window).unwrap();
-    let f = svc.forecast().unwrap();
+    let f = stream.forecast().unwrap();
     assert_eq!(f.degraded, Some(DegradedCause::QueueFull));
     svc.shutdown(ShutdownMode::Drain);
 }
@@ -226,7 +251,8 @@ fn wait_deadline_includes_queue_time() {
     assert!(pending.wait(deadline).is_ok(), "delivered reply must survive a late wait");
 }
 
-/// A model whose forward panics, simulating a poisoned worker.
+/// A model whose forward panics, simulating a poisoned worker. It refuses
+/// compilation, so every batch reaches the panicking tape forward.
 struct PanickyModel {
     inner: AffinePersistence,
 }
@@ -256,17 +282,26 @@ impl Forecaster for PanickyModel {
     ) -> Var {
         panic!("injected model failure");
     }
+    fn compile_eval_plan_on(
+        &self,
+        _store: &ParamStore,
+        _batched: &Tensor,
+    ) -> (Result<Plan, PlanError>, Tensor) {
+        (Err(PlanError::NoInput), Tensor::default())
+    }
 }
 
 #[test]
 fn worker_panic_degrades_and_service_survives() {
     let model = PanickyModel { inner: AffinePersistence::new(F).with_input_shape(H, N, C) };
-    let mut svc = ServeConfig::builder().spawn(Box::new(model), scaler()).unwrap();
-    feed(&mut svc, H);
-    let first = svc.forecast().unwrap();
+    let svc = ServeConfig::builder().spawn_fleet(Box::new(model), scaler()).unwrap();
+    let stream = svc.tenant("stream");
+    feed(&stream, H, 40.0);
+    let first = stream.forecast().unwrap();
     assert_eq!(first.degraded, Some(DegradedCause::WorkerPanic));
     // The worker survived the panic and still answers.
-    let second = svc.forecast().unwrap();
+    assert_eq!(svc.workers_alive(), 1);
+    let second = stream.forecast().unwrap();
     assert_eq!(second.degraded, Some(DegradedCause::WorkerPanic));
     svc.shutdown(ShutdownMode::Drain);
 }
@@ -280,7 +315,7 @@ fn full_queue_rejects_submissions() {
     let svc = ServeConfig::builder()
         .max_batch(1)
         .queue_capacity(1)
-        .spawn(Box::new(model), scaler())
+        .spawn_fleet(Box::new(model), scaler())
         .unwrap();
     let window = Tensor::zeros(&[H, N, C]);
     let pendings: Vec<_> = (0..8).map(|_| svc.submit(&window)).collect();
@@ -297,7 +332,7 @@ fn full_queue_rejects_submissions() {
 
 #[test]
 fn micro_batch_replies_match_sequential_submissions() {
-    let svc = service(ServeConfig::builder().max_batch(4).max_wait(Duration::from_millis(25)));
+    let svc = fleet(ServeConfig::builder().max_batch(4).max_wait(Duration::from_millis(25)));
     let mut rng = TensorRng::seed(7);
     let windows: Vec<Tensor> = (0..4).map(|_| rng.normal(&[H, N, C], 0.0, 1.0)).collect();
     let pendings: Vec<PendingForecast> = windows.iter().map(|w| svc.submit(w).unwrap()).collect();
@@ -312,7 +347,7 @@ fn micro_batch_replies_match_sequential_submissions() {
 
 #[test]
 fn submit_validates_window_shape() {
-    let svc = service(ServeConfig::builder());
+    let svc = fleet(ServeConfig::builder());
     match svc.submit(&Tensor::zeros(&[H, N + 1, C])) {
         Err(EnhanceNetError::InputShape { expected, got }) => {
             assert_eq!(expected, vec![H, N, C]);
@@ -346,36 +381,21 @@ fn builder_validation_is_typed() {
     }
     // A model without a declared input shape cannot be served.
     let bare = AffinePersistence::new(F);
-    match ServeConfig::builder().spawn(Box::new(bare), scaler()) {
+    match ServeConfig::builder().spawn_fleet(Box::new(bare), scaler()) {
         Err(EnhanceNetError::UnknownInputShape { .. }) => {}
         other => panic!("expected UnknownInputShape, got {:?}", other.err()),
     }
     // Model-dependent checks run at spawn: target feature out of range.
     let model = AffinePersistence::new(F).with_input_shape(H, N, C);
-    match ServeConfig::builder().target_feature(C).spawn(Box::new(model), scaler()) {
+    match ServeConfig::builder().target_feature(C).spawn_fleet(Box::new(model), scaler()) {
         Err(EnhanceNetError::InvalidConfig { field: "target_feature", .. }) => {}
         other => panic!("expected InvalidConfig, got {:?}", other.err()),
     }
     // An unbindable metrics address fails construction, typed.
     let model = AffinePersistence::new(F).with_input_shape(H, N, C);
-    match ServeConfig::builder().metrics_addr("256.0.0.1:0").spawn(Box::new(model), scaler()) {
+    match ServeConfig::builder().metrics_addr("256.0.0.1:0").spawn_fleet(Box::new(model), scaler())
+    {
         Err(EnhanceNetError::InvalidConfig { field: "metrics_addr", .. }) => {}
-        other => panic!("expected InvalidConfig, got {:?}", other.err()),
-    }
-}
-
-#[test]
-fn deprecated_literal_construction_still_validates() {
-    // The PR 4 path — struct literal + positional `new` — must keep
-    // working (and keep validating) for one release.
-    #[allow(deprecated)]
-    fn construct(config: ServeConfig) -> Result<ForecastService, EnhanceNetError> {
-        let model = AffinePersistence::new(F).with_input_shape(H, N, C);
-        ForecastService::new(Box::new(model), scaler(), config)
-    }
-    assert!(construct(ServeConfig::default()).is_ok());
-    match construct(ServeConfig { max_batch: 0, ..Default::default() }) {
-        Err(EnhanceNetError::InvalidConfig { field: "max_batch", .. }) => {}
         other => panic!("expected InvalidConfig, got {:?}", other.err()),
     }
 }
@@ -389,7 +409,7 @@ fn shutdown_drain_completes_queued_requests() {
     let svc = ServeConfig::builder()
         .max_batch(1)
         .queue_capacity(16)
-        .spawn(Box::new(model), scaler())
+        .spawn_fleet(Box::new(model), scaler())
         .unwrap();
     let window = Tensor::zeros(&[H, N, C]);
     let pendings: Vec<PendingForecast> = (0..4).map(|_| svc.submit(&window).unwrap()).collect();
@@ -405,28 +425,6 @@ fn shutdown_drain_completes_queued_requests() {
 }
 
 #[test]
-fn shutdown_now_sheds_queued_requests() {
-    let model = SlowModel {
-        inner: AffinePersistence::new(F).with_input_shape(H, N, C),
-        sleep: Duration::from_millis(50),
-    };
-    let svc = ServeConfig::builder()
-        .max_batch(1)
-        .queue_capacity(16)
-        .spawn(Box::new(model), scaler())
-        .unwrap();
-    let window = Tensor::zeros(&[H, N, C]);
-    let pendings: Vec<PendingForecast> = (0..6).map(|_| svc.submit(&window).unwrap()).collect();
-    let report = svc.shutdown(ShutdownMode::Now);
-    assert!(report.shed >= 4, "expected most of the queue shed, got {report:?}");
-    assert_eq!(report.drained, 0);
-    let outcomes: Vec<_> = pendings.iter().map(|p| p.wait(Duration::from_secs(5))).collect();
-    let shed =
-        outcomes.iter().filter(|o| matches!(o, Err(EnhanceNetError::ServiceStopped))).count();
-    assert_eq!(shed as u64, report.shed, "every shed request must observe ServiceStopped");
-}
-
-#[test]
 fn embedded_metrics_server_scrapes_and_reports_readiness() {
     use std::io::{Read as _, Write as _};
 
@@ -438,15 +436,25 @@ fn embedded_metrics_server_scrapes_and_reports_readiness() {
         body
     }
 
-    let mut svc = service(ServeConfig::builder().metrics_addr("127.0.0.1:0"));
+    let svc = fleet(ServeConfig::builder().metrics_addr("127.0.0.1:0"));
     let addr = svc.metrics_addr().expect("metrics server must be bound");
-    assert!(svc.worker_alive());
+    assert_eq!(svc.workers_alive(), 1);
     // Cold window: live but not ready.
+    let stream = svc.tenant("stream");
     assert!(http_get(addr, "/healthz").starts_with("HTTP/1.1 200"));
     assert!(http_get(addr, "/readyz").starts_with("HTTP/1.1 503"));
-    feed(&mut svc, H);
+    feed(&stream, H, 40.0);
     assert!(http_get(addr, "/readyz").starts_with("HTTP/1.1 200"));
-    let _ = svc.forecast().unwrap();
+    // A second, cold tenant makes the fleet not ready again.
+    let late = svc.tenant("late");
+    assert!(http_get(addr, "/readyz").starts_with("HTTP/1.1 503"));
+    feed(&late, H, 90.0);
+    assert!(http_get(addr, "/readyz").starts_with("HTTP/1.1 200"));
+    // Evicting a tenant's history turns its window cold again.
+    late.evict_before(H as i64);
+    assert!(http_get(addr, "/readyz").starts_with("HTTP/1.1 503"));
+    drop(late);
+    let _ = stream.forecast().unwrap();
     let scrape = http_get(addr, "/metrics");
     // The scrape may race other telemetry tests resetting the global
     // store, so only assert the exposition shape, not specific series.
@@ -455,20 +463,7 @@ fn embedded_metrics_server_scrapes_and_reports_readiness() {
     svc.shutdown(ShutdownMode::Drain);
 }
 
-// ---- fleet ----
-
-fn fleet(builder: ServeConfigBuilder) -> FleetService {
-    let model = AffinePersistence::new(F).with_input_shape(H, N, C);
-    builder.spawn_fleet(Box::new(model), scaler()).unwrap()
-}
-
-fn feed_tenant(tenant: &Tenant<'_>, steps: usize, base: f32) {
-    for t in 0..steps {
-        for e in 0..N {
-            tenant.ingest(t as i64, e, &[base + t as f32 + e as f32]).unwrap();
-        }
-    }
-}
+// ---- several workers and tenants ----
 
 #[test]
 fn fleet_serves_tenants_matching_offline_predict() {
@@ -478,8 +473,8 @@ fn fleet_serves_tenants_matching_offline_predict() {
     assert_eq!(svc.epoch(), 0);
     let a = svc.tenant("acme");
     let b = svc.tenant("babel");
-    feed_tenant(&a, H, 40.0);
-    feed_tenant(&b, H, 90.0);
+    feed(&a, H, 40.0);
+    feed(&b, H, 90.0);
     // Tenants land on distinct round-robin shards.
     assert_ne!(a.shard(), b.shard());
     // Re-acquiring a tenant keeps its shard and state.
@@ -492,12 +487,8 @@ fn fleet_serves_tenants_matching_offline_predict() {
     assert_ne!(fa.values.data(), fb.values.data());
     // ...and each matches the offline predict over its own window.
     let model = AffinePersistence::new(F).with_input_shape(H, N, C);
-    let sc = scaler();
-    let mut svc_ref = service(ServeConfig::builder());
-    feed(&mut svc_ref, H);
-    let raw = svc_ref.state().window().unwrap();
-    let offline = sc.inverse_feature(&model.predict(&sc.transform(&raw).unwrap()).unwrap(), 0);
-    assert_eq!(fa.values.data(), offline.data());
+    assert_eq!(fa.values.data(), offline(&model, 40.0).data());
+    assert_eq!(fb.values.data(), offline(&model, 90.0).data());
     svc.shutdown(ShutdownMode::Drain);
 }
 
@@ -512,8 +503,8 @@ fn fleet_quota_throttles_bursting_tenant_only() {
     );
     let bursty = svc.tenant("bursty");
     let quiet = svc.tenant("quiet");
-    feed_tenant(&bursty, H, 40.0);
-    feed_tenant(&quiet, H, 40.0);
+    feed(&bursty, H, 40.0);
+    feed(&quiet, H, 40.0);
     let outcomes: Vec<Forecast> = (0..5).map(|_| bursty.forecast().unwrap()).collect();
     let throttled =
         outcomes.iter().filter(|f| f.degraded == Some(DegradedCause::QuotaExceeded)).count();
@@ -534,7 +525,7 @@ fn fleet_quota_throttles_bursting_tenant_only() {
 fn fleet_hot_swap_changes_forecasts_at_next_batch() {
     let svc = fleet(ServeConfig::builder().workers(2));
     let tenant = svc.tenant("acme");
-    feed_tenant(&tenant, H, 40.0);
+    feed(&tenant, H, 40.0);
     let before = tenant.forecast().unwrap();
     assert!(!before.is_degraded());
 
@@ -555,12 +546,11 @@ fn fleet_hot_swap_changes_forecasts_at_next_batch() {
     assert!(!after.is_degraded(), "swap must not degrade requests");
     assert_ne!(before.values.data(), after.values.data(), "new weights must change forecasts");
     // Bitwise parity with the offline predict on the new weights.
-    let sc = scaler();
-    let mut svc_ref = service(ServeConfig::builder());
-    feed(&mut svc_ref, H);
-    let raw = svc_ref.state().window().unwrap();
-    let offline = sc.inverse_feature(&trained.predict(&sc.transform(&raw).unwrap()).unwrap(), 0);
-    assert_eq!(after.values.data(), offline.data(), "post-swap serve must match offline predict");
+    assert_eq!(
+        after.values.data(),
+        offline(&trained, 40.0).data(),
+        "post-swap serve must match offline predict"
+    );
     svc.shutdown(ShutdownMode::Drain);
 }
 
@@ -578,46 +568,78 @@ fn publisher_rejects_mismatched_store_layout() {
     svc.shutdown(ShutdownMode::Drain);
 }
 
+/// An input-less model: it bakes the window into a trace constant, so its
+/// trace never compiles, but it reads its weights from `store` like any
+/// host.
+struct TapeOnly {
+    inner: AffinePersistence,
+}
+
+impl Forecaster for TapeOnly {
+    fn name(&self) -> &str {
+        "tape-only"
+    }
+    fn store(&self) -> &ParamStore {
+        self.inner.store()
+    }
+    fn store_mut(&mut self) -> &mut ParamStore {
+        self.inner.store_mut()
+    }
+    fn horizon(&self) -> usize {
+        self.inner.horizon()
+    }
+    fn input_shape(&self) -> Option<[usize; 3]> {
+        self.inner.input_shape()
+    }
+    fn forward_on(
+        &self,
+        g: &mut Graph,
+        store: &ParamStore,
+        x: &Tensor,
+        ctx: &mut ForwardCtx,
+    ) -> Var {
+        // The training branch slices the window into a constant instead of
+        // marking an input leaf; without a teacher it is still an eval
+        // forward.
+        let mut constant_ctx = ForwardCtx {
+            training: true,
+            teacher: None,
+            teacher_forcing_prob: 0.0,
+            rng: &mut *ctx.rng,
+        };
+        self.inner.forward_on(g, store, x, &mut constant_ctx)
+    }
+}
+
 #[test]
-fn fleet_rejects_unplannable_models_up_front() {
-    // A model that never marks an input leaf traces to a plan-less graph;
-    // the fleet cannot hot-swap its weights, so spawn must fail typed.
-    struct Unplannable {
-        inner: AffinePersistence,
+fn unplannable_model_serves_on_the_tape_and_sees_hot_swaps() {
+    let tape_only = || TapeOnly { inner: AffinePersistence::new(F).with_input_shape(H, N, C) };
+    let probe = Tensor::zeros(&[1, H, N, C]);
+    assert!(matches!(tape_only().compile_eval_plan(&probe).0, Err(PlanError::NoInput)));
+
+    let svc = ServeConfig::builder().spawn_fleet(Box::new(tape_only()), scaler()).unwrap();
+    let stream = svc.tenant("stream");
+    feed(&stream, H, 40.0);
+    let before = stream.forecast().unwrap();
+    assert!(!before.is_degraded());
+    assert_eq!(before.values.data(), offline(&tape_only(), 40.0).data());
+
+    let mut trained = tape_only();
+    for id in trained.store().ids().collect::<Vec<_>>() {
+        let v = trained.store().value(id).clone();
+        trained.store_mut().value_mut(id).copy_from(&v.mul_scalar(3.0).add_scalar(0.25));
     }
-    impl Forecaster for Unplannable {
-        fn name(&self) -> &str {
-            "unplannable"
-        }
-        fn store(&self) -> &ParamStore {
-            self.inner.store()
-        }
-        fn store_mut(&mut self) -> &mut ParamStore {
-            self.inner.store_mut()
-        }
-        fn horizon(&self) -> usize {
-            self.inner.horizon()
-        }
-        fn input_shape(&self) -> Option<[usize; 3]> {
-            self.inner.input_shape()
-        }
-        fn forward_on(
-            &self,
-            g: &mut Graph,
-            _store: &ParamStore,
-            x: &Tensor,
-            _ctx: &mut ForwardCtx,
-        ) -> Var {
-            // Bakes the window into a constant: nothing to rebind.
-            let shape = [x.shape()[0], self.inner.horizon(), x.shape()[2]];
-            g.constant(Tensor::zeros(&shape))
-        }
-    }
-    let model = Unplannable { inner: AffinePersistence::new(F).with_input_shape(H, N, C) };
-    match ServeConfig::builder().spawn_fleet(Box::new(model), scaler()) {
-        Err(EnhanceNetError::InvalidConfig { field: "model", .. }) => {}
-        other => panic!("expected InvalidConfig, got {:?}", other.err()),
-    }
+    assert_eq!(svc.publisher().publish(trained.store()).unwrap(), 1);
+    let after = stream.forecast().unwrap();
+    assert!(!after.is_degraded(), "swap must not degrade requests");
+    assert_ne!(before.values.data(), after.values.data(), "new weights must change forecasts");
+    assert_eq!(
+        after.values.data(),
+        offline(&trained, 40.0).data(),
+        "the tape arm must serve the published weights"
+    );
+    drop(stream);
+    svc.shutdown(ShutdownMode::Drain);
 }
 
 #[test]
@@ -636,6 +658,7 @@ fn fleet_shutdown_now_sheds_as_degraded_forecasts() {
     let pendings: Vec<PendingForecast> = (0..6).map(|_| svc.submit(&window).unwrap()).collect();
     let report = svc.shutdown(ShutdownMode::Now);
     assert!(report.shed >= 4, "expected most of the queue shed, got {report:?}");
+    assert_eq!(report.drained, 0);
     let shed = pendings
         .iter()
         .filter(|p| matches!(p.wait(Duration::from_secs(5)), Err(EnhanceNetError::ServiceStopped)))

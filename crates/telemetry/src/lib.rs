@@ -7,15 +7,14 @@
 //!
 //! Five primitives feed one global [`Registry`]:
 //!
-//! * **Scoped timers** — [`scoped`] returns an RAII guard that attributes
-//!   the enclosed wall-clock time to a label on drop. Nested scopes each
-//!   bill their own label, so `trainer.forward` and an inner
-//!   `dfgn.generate` coexist without double bookkeeping.
-//! * **Trace spans** — [`span`] is the hierarchical sibling of [`scoped`]:
-//!   on top of the same per-label aggregation it records each completed
-//!   interval with its thread id, nesting depth, and start offset, so the
-//!   run can be exported as a Chrome `trace_event` timeline
-//!   ([`render_chrome_trace`], viewable in `chrome://tracing` / Perfetto).
+//! * **Trace spans** — [`span`], the one timing primitive, returns an RAII
+//!   guard that attributes the enclosed wall-clock time to a label on
+//!   drop. Nested spans each bill their own label, so `trainer.forward`
+//!   and an inner `dfgn.generate` coexist without double bookkeeping. Each
+//!   completed interval is also recorded with its thread id, nesting
+//!   depth, and start offset, so the run can be exported as a Chrome
+//!   `trace_event` timeline ([`render_chrome_trace`], viewable in
+//!   `chrome://tracing` / Perfetto).
 //! * **Counters** — [`count`] accumulates monotonic `u64` totals (kernel
 //!   calls, elements moved, parallel-vs-serial dispatch decisions, batches
 //!   and windows routed through the sharded trainer). Names are a
@@ -382,40 +381,6 @@ fn registry() -> MutexGuard<'static, Registry> {
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// RAII guard from [`scoped`]; bills elapsed time to its label on drop.
-/// When telemetry is disabled the guard is inert (holds no timestamp).
-/// If [`reset`] runs while the guard is live, the measurement is discarded
-/// on drop rather than written into the fresh registry.
-#[must_use = "the timer records on drop; binding to _ drops immediately"]
-pub struct Scope {
-    inner: Option<(&'static str, Instant, u64)>,
-}
-
-/// Starts a scoped wall-clock timer. Disabled path: one atomic load, no
-/// allocation, no clock read.
-#[inline]
-pub fn scoped(label: &'static str) -> Scope {
-    if !enabled() {
-        return Scope { inner: None };
-    }
-    Scope { inner: Some((label, Instant::now(), GENERATION.load(Ordering::Relaxed))) }
-}
-
-impl Drop for Scope {
-    fn drop(&mut self) {
-        if let Some((label, start, generation)) = self.inner.take() {
-            let ns = start.elapsed().as_nanos() as u64;
-            if GENERATION.load(Ordering::Relaxed) != generation {
-                return; // reset() raced this scope; discard the interval.
-            }
-            let mut reg = registry();
-            let stat = reg.timers.entry(label.to_string()).or_default();
-            stat.calls += 1;
-            stat.total_ns += ns;
-        }
-    }
-}
-
 struct SpanInner {
     label: &'static str,
     start: Instant,
@@ -425,9 +390,11 @@ struct SpanInner {
     generation: u64,
 }
 
-/// RAII guard from [`span`]. On drop it aggregates into the timer of the
-/// same label (exactly like [`Scope`]) and additionally records a
-/// [`SpanRecord`] carrying thread id, nesting depth, and start offset.
+/// RAII guard from [`span`]. On drop it bills the elapsed time to the timer
+/// of the same label and records a [`SpanRecord`] carrying thread id,
+/// nesting depth, and start offset. If [`reset`] runs while the guard is
+/// live, the measurement is discarded on drop rather than written into the
+/// fresh registry.
 #[must_use = "the span records on drop; binding to _ drops immediately"]
 pub struct Span {
     inner: Option<SpanInner>,
@@ -843,7 +810,6 @@ mod tests {
         reset();
         set_enabled(false);
         {
-            let _t = scoped("t.disabled");
             let _s = span("s.disabled");
             count("c.disabled", 5);
             observe("h.disabled", 1.0);
@@ -851,7 +817,7 @@ mod tests {
         }
         assert_eq!(record_count(), 0);
         assert_eq!(counter_value("c.disabled"), 0);
-        assert!(timer_stat("t.disabled").is_none());
+        assert!(timer_stat("s.disabled").is_none());
         assert!(histogram_summary("h.disabled").is_none());
         assert_eq!(span_count(), 0);
     }
@@ -870,29 +836,6 @@ mod tests {
     }
 
     #[test]
-    fn nested_scopes_attribute_time_to_their_own_labels() {
-        let _g = lock_tests();
-        reset();
-        set_enabled(true);
-        {
-            let _outer = scoped("t.outer");
-            std::thread::sleep(Duration::from_millis(2));
-            {
-                let _inner = scoped("t.inner");
-                std::thread::sleep(Duration::from_millis(2));
-            }
-        }
-        set_enabled(false);
-        let outer = timer_stat("t.outer").expect("outer recorded");
-        let inner = timer_stat("t.inner").expect("inner recorded");
-        assert_eq!(outer.calls, 1);
-        assert_eq!(inner.calls, 1);
-        // The inner scope is a strict sub-interval of the outer one.
-        assert!(inner.total_ns <= outer.total_ns, "inner {inner:?} vs outer {outer:?}");
-        assert!(inner.total_ns > 0);
-    }
-
-    #[test]
     fn spans_record_depth_and_feed_timers() {
         let _g = lock_tests();
         reset();
@@ -906,9 +849,17 @@ mod tests {
             }
         }
         set_enabled(false);
-        // Spans also aggregate under the same timer labels.
-        assert_eq!(timer_stat("sp.outer").expect("outer timer").calls, 1);
-        assert_eq!(timer_stat("sp.inner").expect("inner timer").calls, 1);
+        // Spans also aggregate under the same timer labels, each nested
+        // interval billed to its own label.
+        let outer_timer = timer_stat("sp.outer").expect("outer timer");
+        let inner_timer = timer_stat("sp.inner").expect("inner timer");
+        assert_eq!(outer_timer.calls, 1);
+        assert_eq!(inner_timer.calls, 1);
+        assert!(inner_timer.total_ns > 0);
+        assert!(
+            inner_timer.total_ns <= outer_timer.total_ns,
+            "inner {inner_timer:?} vs outer {outer_timer:?}"
+        );
         let spans = span_records();
         assert_eq!(spans.len(), 2);
         let outer = spans.iter().find(|s| s.label == "sp.outer").expect("outer span");
@@ -944,19 +895,16 @@ mod tests {
     }
 
     #[test]
-    fn scope_survives_concurrent_reset_without_recording() {
+    fn span_survives_concurrent_reset_without_recording() {
         let _g = lock_tests();
         reset();
         set_enabled(true);
-        let guard = scoped("t.racing");
         let sp = span("sp.racing");
-        // A reset while guards are live must neither panic their drops nor
-        // let the stale measurements leak into the fresh registry.
+        // A reset while a guard is live must neither panic its drop nor
+        // let the stale measurement leak into the fresh registry.
         reset();
         drop(sp);
-        drop(guard);
         set_enabled(false);
-        assert!(timer_stat("t.racing").is_none());
         assert!(timer_stat("sp.racing").is_none());
         assert_eq!(span_count(), 0);
         assert_eq!(record_count(), 0);
@@ -1024,14 +972,14 @@ mod tests {
         set_enabled(true);
         count("c.x", 7);
         {
-            let _t = scoped("t.x");
+            let _t = span("t.x");
         }
         record_event("epoch", &serde_json::json!({"epoch": 0, "loss": 1.5}));
         set_enabled(false);
         let jsonl = render_jsonl();
         let lines: Vec<serde_json::Value> =
             jsonl.lines().map(|l| serde_json::from_str(l).expect("valid JSON line")).collect();
-        assert_eq!(lines.len(), 4); // meta + counter + timer + event
+        assert_eq!(lines.len(), 5); // meta + counter + timer + span + event
         assert_eq!(lines[0]["type"], "meta");
         assert_eq!(lines[0]["schema"], "enhancenet-telemetry-v1");
         let counter = lines.iter().find(|l| l["type"] == "counter").unwrap();
@@ -1167,7 +1115,7 @@ mod tests {
         set_enabled(true);
         count("c.sum", 9);
         {
-            let _t = scoped("t.sum");
+            let _t = span("t.sum");
         }
         observe("h.sum", 2.0);
         record_event("epoch", &serde_json::json!({"epoch": 1}));

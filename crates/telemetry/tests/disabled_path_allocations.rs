@@ -1,5 +1,5 @@
 //! Proves the "near-zero overhead when disabled" contract: with telemetry
-//! off, scoped timers, trace spans, counters, histograms, and event
+//! off, trace spans, counters, histograms, and event
 //! recording perform **zero heap allocations**. Runs as its own
 //! integration binary without the libtest harness (`harness = false`), so
 //! the counting allocator sees no interference from harness threads or
@@ -34,7 +34,6 @@ fn disabled_fast_path_is_allocation_free() {
 
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     for _ in 0..10_000 {
-        let _scope = enhancenet_telemetry::scoped("alloc.test.timer");
         let _span = enhancenet_telemetry::span("alloc.test.span");
         enhancenet_telemetry::count("alloc.test.counter", 3);
         enhancenet_telemetry::observe("alloc.test.histogram", 42.0);
@@ -53,12 +52,12 @@ fn disabled_fast_path_is_allocation_free() {
     enhancenet_telemetry::reset();
     enhancenet_telemetry::set_enabled(true);
     {
-        let _scope = enhancenet_telemetry::scoped("alloc.test.timer");
+        let _span = enhancenet_telemetry::span("alloc.test.span");
         enhancenet_telemetry::count("alloc.test.counter", 3);
     }
     enhancenet_telemetry::set_enabled(false);
     assert_eq!(enhancenet_telemetry::counter_value("alloc.test.counter"), 3);
-    assert!(enhancenet_telemetry::timer_stat("alloc.test.timer").is_some());
+    assert!(enhancenet_telemetry::timer_stat("alloc.test.span").is_some());
 }
 
 fn disabled_span_and_histogram_paths_are_allocation_free() {

@@ -1,7 +1,7 @@
-//! Online forecast serving: wrap a trained model in a [`ForecastService`],
-//! stream raw observations into its sliding window, and read 12-step
-//! forecasts back — including the graceful-degradation path while the
-//! window is still warming up.
+//! Online forecast serving: wrap a trained model in a single-worker
+//! [`FleetService`], stream raw observations into one tenant's sliding
+//! window, and read 12-step forecasts back — including the
+//! graceful-degradation path while the window is still warming up.
 //!
 //! ```sh
 //! cargo run --release --example online_serving
@@ -87,15 +87,16 @@ fn main() {
     trainer.train(&mut model, &data);
 
     // Hand the model (and the scaler it was trained with) to the service.
-    // The model moves to a worker thread that serves micro-batches; this
-    // thread keeps the sliding-window state and the raw-scale API.
+    // The model moves behind a worker thread that serves micro-batches; the
+    // tenant handle keeps the sliding-window state and the raw-scale API.
     let mut builder = ServeConfig::builder();
     if let Some(addr) = metrics_addr {
         builder = builder.metrics_addr(addr);
     }
-    let mut service = builder
-        .spawn(Box::new(model), data.scaler.clone())
+    let service = builder
+        .spawn_fleet(Box::new(model), data.scaler.clone())
         .expect("model reports its input shape and the metrics address binds");
+    let stream = service.tenant("sensors");
     println!(
         "serving: window {:?}, horizon {}, deadline {:?}",
         service.input_shape(),
@@ -113,8 +114,8 @@ fn main() {
     let mut degraded_count = 0;
     for (step, t) in (start..series.num_steps()).enumerate() {
         let row = &series.values.data()[t * n * c..(t + 1) * n * c];
-        service.ingest_row(t as i64, row).expect("row has N*C values");
-        let forecast = service.forecast().expect("history exists once ingested");
+        stream.ingest_row(t as i64, row).expect("row has N*C values");
+        let forecast = stream.forecast().expect("history exists once ingested");
         if forecast.is_degraded() {
             degraded_count += 1;
         }
@@ -144,8 +145,8 @@ fn main() {
         while Instant::now() < until {
             let src = (t as usize) % series.num_steps();
             let row = &series.values.data()[src * n * c..(src + 1) * n * c];
-            service.ingest_row(t, row).expect("row has N*C values");
-            let _ = service.forecast().expect("history exists once ingested");
+            stream.ingest_row(t, row).expect("row has N*C values");
+            let _ = stream.forecast().expect("history exists once ingested");
             t += 1;
             std::thread::sleep(Duration::from_millis(10));
         }

@@ -1,12 +1,12 @@
 //! End-to-end serving-path coverage: raw observations streamed through a
-//! [`ForecastService`] must produce exactly the forecasts the offline
-//! [`Forecaster::predict`] path produces on the same windows, and every
-//! failure mode must degrade to a persistence forecast instead of hanging
-//! or panicking.
+//! single-worker [`FleetService`] tenant must produce exactly the forecasts
+//! the offline [`Forecaster::predict`] path produces on the same windows,
+//! and every failure mode must degrade to a persistence forecast instead
+//! of hanging or panicking.
 
 use enhancenet::prelude::*;
 use enhancenet::ForwardCtx;
-use enhancenet_autodiff::{Graph, ParamStore, Var};
+use enhancenet_autodiff::{Graph, ParamStore, Plan, PlanError, Var};
 use enhancenet_models::{GruSeq2Seq, ModelDims, TemporalMode};
 use enhancenet_tensor::Tensor;
 use std::time::{Duration, Instant};
@@ -31,17 +31,19 @@ fn streamed_forecasts_match_offline_predict_bitwise() {
     let data = WindowDataset::from_series(&series, H, F).unwrap();
     let (n, c) = (series.num_entities(), series.num_features());
 
-    let mut service = ServeConfig::builder().spawn(Box::new(model()), data.scaler.clone()).unwrap();
+    let service =
+        ServeConfig::builder().spawn_fleet(Box::new(model()), data.scaler.clone()).unwrap();
+    let stream = service.tenant("stream");
     let offline = model();
 
     let mut compared = 0;
     for t in 0..60 {
         let row = &series.values.data()[t * n * c..(t + 1) * n * c];
-        service.ingest_row(t as i64, row).unwrap();
-        if !service.is_ready() {
+        stream.ingest_row(t as i64, row).unwrap();
+        if !stream.is_ready() {
             continue;
         }
-        let served = service.forecast().unwrap();
+        let served = stream.forecast().unwrap();
         assert!(!served.is_degraded(), "model answered within deadline at t={t}");
         assert_eq!(served.anchor, Some(t as i64));
 
@@ -60,7 +62,8 @@ fn streamed_forecasts_match_offline_predict_bitwise() {
     service.shutdown(ShutdownMode::Drain);
 }
 
-/// A host whose forward pass is far slower than the serving deadline.
+/// A host whose forward pass is far slower than the serving deadline. It
+/// refuses compilation, so every batch runs the slow forward on the tape.
 struct SlowModel {
     inner: GruSeq2Seq,
     sleep: Duration,
@@ -92,6 +95,13 @@ impl Forecaster for SlowModel {
         std::thread::sleep(self.sleep);
         self.inner.forward_on(g, store, x, ctx)
     }
+    fn compile_eval_plan_on(
+        &self,
+        _store: &ParamStore,
+        _batched: &Tensor,
+    ) -> (Result<Plan, PlanError>, Tensor) {
+        (Err(PlanError::NoInput), Tensor::default())
+    }
 }
 
 #[test]
@@ -101,17 +111,18 @@ fn missed_deadline_returns_degraded_persistence_not_an_error() {
     let (n, c) = (series.num_entities(), series.num_features());
 
     let slow = SlowModel { inner: model(), sleep: Duration::from_millis(300) };
-    let mut service = ServeConfig::builder()
+    let service = ServeConfig::builder()
         .deadline(Duration::from_millis(5))
-        .spawn(Box::new(slow), data.scaler.clone())
+        .spawn_fleet(Box::new(slow), data.scaler.clone())
         .unwrap();
+    let stream = service.tenant("stream");
     for t in 0..H {
         let row = &series.values.data()[t * n * c..(t + 1) * n * c];
-        service.ingest_row(t as i64, row).unwrap();
+        stream.ingest_row(t as i64, row).unwrap();
     }
 
     let started = Instant::now();
-    let forecast = service.forecast().expect("degraded forecast, not an error");
+    let forecast = stream.forecast().expect("degraded forecast, not an error");
     assert_eq!(
         forecast.degraded,
         Some(DegradedCause::Deadline),
@@ -140,12 +151,14 @@ fn warming_service_degrades_instead_of_erroring() {
     let series = generate_traffic(&TrafficConfig::tiny(N, 2));
     let data = WindowDataset::from_series(&series, H, F).unwrap();
     let (n, c) = (series.num_entities(), series.num_features());
-    let mut service = ServeConfig::builder().spawn(Box::new(model()), data.scaler.clone()).unwrap();
+    let service =
+        ServeConfig::builder().spawn_fleet(Box::new(model()), data.scaler.clone()).unwrap();
+    let stream = service.tenant("stream");
     // Fewer rows than the window needs: degraded persistence, never a hang.
     for t in 0..H / 2 {
         let row = &series.values.data()[t * n * c..(t + 1) * n * c];
-        service.ingest_row(t as i64, row).unwrap();
-        let forecast = service.forecast().unwrap();
+        stream.ingest_row(t as i64, row).unwrap();
+        let forecast = stream.forecast().unwrap();
         assert_eq!(forecast.degraded, Some(DegradedCause::ColdWindow));
         assert_eq!(forecast.values.shape(), &[F, N]);
     }
@@ -171,19 +184,20 @@ fn live_scrape_exposes_slo_and_fallback_series() {
     let series = generate_traffic(&TrafficConfig::tiny(N, 2));
     let data = WindowDataset::from_series(&series, H, F).unwrap();
     let (n, c) = (series.num_entities(), series.num_features());
-    let mut service = ServeConfig::builder()
+    let service = ServeConfig::builder()
         .metrics_addr("127.0.0.1:0")
-        .spawn(Box::new(model()), data.scaler.clone())
+        .spawn_fleet(Box::new(model()), data.scaler.clone())
         .unwrap();
     let addr = service.metrics_addr().expect("ephemeral metrics port bound");
+    let stream = service.tenant("stream");
 
     // Not ready while the window is cold; forecasts degrade but count.
     assert!(http_get(addr, "/readyz").starts_with("HTTP/1.1 503"));
     let mut ids = Vec::new();
     for t in 0..2 * H {
         let row = &series.values.data()[t * n * c..(t + 1) * n * c];
-        service.ingest_row(t as i64, row).unwrap();
-        ids.push(service.forecast().unwrap().request_id);
+        stream.ingest_row(t as i64, row).unwrap();
+        ids.push(stream.forecast().unwrap().request_id);
     }
     assert!(ids.windows(2).all(|w| w[0] < w[1]), "request ids must be strictly increasing");
     assert!(http_get(addr, "/readyz").starts_with("HTTP/1.1 200"));
