@@ -84,6 +84,19 @@ fn bench_bmm(c: &mut Criterion) {
     c.bench_function("bmm_nt_attention_8x207x64", |b| {
         b.iter(|| black_box(q.bmm_nt(&kmat)));
     });
+
+    // One graph-convolution hop on la-dynamic: a batch of 12 dynamic
+    // [207, 207] supports against a [207, 10] hidden state, plus the input
+    // gradient Aᵀ·gy. Ten output columns fit one register strip, so the
+    // engine reads A in place instead of packing it.
+    let supports = TensorRng::seed(15).normal(&[12, 207, 207], 0.0, 1.0);
+    let hidden = TensorRng::seed(16).normal(&[12, 207, 10], 0.0, 1.0);
+    let mut group = c.benchmark_group("gconv_hop_12x207x207x10");
+    group.bench_function("bmm", |b| b.iter(|| black_box(supports.bmm(&hidden))));
+    group.bench_function("bmm_tn_input_grad", |b| {
+        b.iter(|| black_box(supports.bmm_tn(&hidden)));
+    });
+    group.finish();
 }
 
 fn bench_broadcast_left(c: &mut Criterion) {

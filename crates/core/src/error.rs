@@ -48,13 +48,6 @@ pub enum EnhanceNetError {
         /// Configured queue capacity.
         capacity: usize,
     },
-    /// A tenant's token-bucket quota was exhausted; the request was not
-    /// enqueued. Unlike [`EnhanceNetError::Overloaded`] this is a
-    /// per-tenant verdict: other tenants' requests still flow.
-    Throttled {
-        /// The tenant whose bucket ran dry.
-        tenant: String,
-    },
     /// The request's deadline elapsed before the batch worker replied.
     DeadlineExceeded {
         /// The deadline that elapsed.
@@ -84,9 +77,6 @@ impl fmt::Display for EnhanceNetError {
             }
             Self::Overloaded { capacity } => {
                 write!(f, "serving queue full (capacity {capacity})")
-            }
-            Self::Throttled { tenant } => {
-                write!(f, "tenant `{tenant}` throttled by its quota")
             }
             Self::DeadlineExceeded { deadline } => {
                 write!(f, "deadline of {deadline:?} exceeded")

@@ -1,8 +1,9 @@
 //! Micro-kernel dispatch: the register-tiled inner kernels of the blocked
 //! GEMM engine, selected once per process by runtime CPU feature detection.
 //!
-//! The blocked engine in [`crate::matmul`] packs operand panels and walks
-//! them with an `MR`×`NR` register tile. This module owns that tile: a
+//! The blocked engine in [`crate::matmul`] packs B (and, for outputs wider
+//! than one tile, A) into panels and walks them with an `MR`×`NR` register
+//! tile. This module owns that tile: a
 //! portable scalar 4×8 kernel (the always-correct fallback, bit-identical
 //! to the pre-SIMD engine), an AVX2+FMA 6×16 kernel on `x86_64`, and a
 //! NEON 4×8 kernel on `aarch64`. [`selected_kernel`] picks one at first
@@ -11,12 +12,16 @@
 //! the empty string) pins dispatch to the scalar kernel for
 //! reproducibility and fallback testing.
 //!
-//! Kernels receive *packed* strips (A in `mr`-row strips, B in `nr`-column
-//! strips, both zero-padded to full tiles by the pack routines) and write
-//! an `mr`×`nr` corner of the accumulated tile through a raw output
-//! pointer. The pointer interface — rather than `&mut [f32]` — is what
-//! lets the engine fan row blocks *and* column slabs of one output across
-//! rayon without ever materializing overlapping mutable slices.
+//! Kernels read A through a strided view ([`AView`]: element `(ii, kk)`
+//! at `ptr[ii·rs + kk·cs]`) and B from a packed `nr`-column strip
+//! (zero-padded to a full tile by the pack routine), and write an
+//! `mr`×`nr` corner of the accumulated tile through a raw output pointer.
+//! A packed `mr`-row A strip is just the view `rs = 1, cs = mr`; the
+//! caller's unpacked row-major or transposed buffer is the view its
+//! `MatRef` strides describe. The pointer interface — rather than
+//! `&mut [f32]` — is what lets the engine fan row blocks *and* column
+//! slabs of one output across rayon without ever materializing
+//! overlapping mutable slices.
 //!
 //! Telemetry (recorded by the engine, not here):
 //! `tensor.kernel.dispatch.{avx2,neon,scalar}` counts blocked dispatches
@@ -26,6 +31,38 @@
 //! fan-out ([`crate::matmul`]).
 
 use std::sync::OnceLock;
+
+/// A strided, read-only view of one A strip: row `ii`, depth `kk` lives at
+/// `ptr.add(ii * rs + kk * cs)`. A packed strip is `rs = 1, cs = mr`; an
+/// unpacked row-major block is `rs = row stride, cs = 1`; a transposed
+/// view is `rs = 1, cs = storage row stride`.
+#[derive(Clone, Copy, Debug)]
+pub struct AView {
+    /// Element `(0, 0)` of the strip.
+    pub ptr: *const f32,
+    /// Distance between consecutive rows, in floats.
+    pub rs: usize,
+    /// Distance between consecutive depth steps, in floats.
+    pub cs: usize,
+}
+
+impl AView {
+    /// Start of each of the `MR` tile rows: rows past the `mr` live ones
+    /// repeat row `mr - 1`, so a ragged strip never reads past the last
+    /// live row and needs no padding. Their products are discarded.
+    ///
+    /// # Safety
+    ///
+    /// `1 <= mr` and row `mr - 1` must lie inside the view's allocation.
+    #[inline(always)]
+    unsafe fn rows<const MR: usize>(self, mr: usize) -> [*const f32; MR] {
+        let mut rows = [self.ptr; MR];
+        for (ii, row) in rows.iter_mut().enumerate() {
+            *row = self.ptr.add(ii.min(mr - 1) * self.rs);
+        }
+        rows
+    }
+}
 
 /// One register-tiled inner kernel: the exchangeable heart of the blocked
 /// GEMM engine.
@@ -45,27 +82,35 @@ pub trait MicroKernel: Sync {
     /// Full telemetry counter label for dispatches of this kernel.
     fn dispatch_counter(&self) -> &'static str;
 
-    /// Computes `out[0..mr, 0..nr] += astrip · bstrip` over `kc` depth
-    /// steps.
+    /// Computes `out[0..mr, 0..nr] += a · bstrip` over `kc` depth steps.
     ///
-    /// `astrip` holds `kc * self.mr()` floats (`astrip[kk*mr + ii]` = row
-    /// `ii`, depth `kk`); `bstrip` holds `kc * self.nr()` floats
-    /// (`bstrip[kk*nr + jj]` = column `jj`, depth `kk`). Rows/columns past
-    /// `mr`/`nr` are zero padding and their products are discarded.
+    /// `a` is a strided view of the strip's `mr` live rows (see [`AView`]);
+    /// tile rows past `mr` re-read row `mr - 1` and their products are
+    /// discarded. `bstrip` holds `kc * self.nr()` floats
+    /// (`bstrip[kk*nr + jj]` = column `jj`, depth `kk`); columns past `nr`
+    /// are zero padding and their products are discarded.
+    ///
+    /// Every output element gets the same operations in the same order
+    /// whatever the view's strides: a zeroed accumulator, one
+    /// multiply-add per `kk` in ascending order (fused on the FMA
+    /// kernels), then one add into `out`.
     ///
     /// # Safety
     ///
-    /// `out` must point at the tile's top-left element of a row-major
-    /// matrix with row stride `row_stride`; the `mr` rows × `nr` columns
-    /// reachable from it must be in bounds and writable, and no other
-    /// thread may access them for the duration of the call. Callers must
-    /// also uphold `mr <= self.mr()`, `nr <= self.nr()`, and the strip
-    /// lengths above.
+    /// `1 <= mr <= self.mr()` and `nr <= self.nr()`. Every element
+    /// `a.ptr.add(ii * a.rs + kk * a.cs)` for `ii < mr`, `kk < kc` must be
+    /// in bounds of one live allocation and not written during the call
+    /// (the kernel reads nothing else of A). `bstrip` must hold
+    /// `kc * self.nr()` floats. `out` must point at the tile's top-left
+    /// element of a row-major matrix with row stride `row_stride`; the `mr`
+    /// rows × `nr` columns reachable from it must be in bounds and
+    /// writable, and no other thread may access them for the duration of
+    /// the call.
     #[allow(clippy::too_many_arguments)]
     unsafe fn run(
         &self,
         kc: usize,
-        astrip: &[f32],
+        a: AView,
         bstrip: &[f32],
         out: *mut f32,
         row_stride: usize,
@@ -105,20 +150,22 @@ impl MicroKernel for ScalarKernel {
     unsafe fn run(
         &self,
         kc: usize,
-        astrip: &[f32],
+        a: AView,
         bstrip: &[f32],
         out: *mut f32,
         row_stride: usize,
         mr: usize,
         nr: usize,
     ) {
-        debug_assert!(astrip.len() >= kc * SCALAR_MR && bstrip.len() >= kc * SCALAR_NR);
-        debug_assert!(mr <= SCALAR_MR && nr <= SCALAR_NR);
+        debug_assert!(bstrip.len() >= kc * SCALAR_NR);
+        debug_assert!((1..=SCALAR_MR).contains(&mr) && nr <= SCALAR_NR);
+        let rows = a.rows::<SCALAR_MR>(mr);
         let mut acc = [[0.0f32; SCALAR_NR]; SCALAR_MR];
         for kk in 0..kc {
-            let arow = &astrip[kk * SCALAR_MR..kk * SCALAR_MR + SCALAR_MR];
+            let koff = kk * a.cs;
             let brow = &bstrip[kk * SCALAR_NR..kk * SCALAR_NR + SCALAR_NR];
-            for (accrow, &av) in acc.iter_mut().zip(arow) {
+            for (accrow, row) in acc.iter_mut().zip(rows) {
+                let av = *row.add(koff);
                 for (c, &bv) in accrow.iter_mut().zip(brow) {
                     *c += av * bv;
                 }
@@ -161,14 +208,14 @@ impl MicroKernel for Avx2Kernel {
     unsafe fn run(
         &self,
         kc: usize,
-        astrip: &[f32],
+        a: AView,
         bstrip: &[f32],
         out: *mut f32,
         row_stride: usize,
         mr: usize,
         nr: usize,
     ) {
-        avx2_tile_6x16(kc, astrip, bstrip, out, row_stride, mr, nr);
+        avx2_tile_6x16(kc, a, bstrip, out, row_stride, mr, nr);
     }
 }
 
@@ -179,7 +226,7 @@ impl MicroKernel for Avx2Kernel {
 #[target_feature(enable = "avx2,fma")]
 unsafe fn avx2_tile_6x16(
     kc: usize,
-    astrip: &[f32],
+    a: AView,
     bstrip: &[f32],
     out: *mut f32,
     row_stride: usize,
@@ -189,20 +236,21 @@ unsafe fn avx2_tile_6x16(
     use core::arch::x86_64::*;
     const MR: usize = 6;
     const NR: usize = 16;
-    debug_assert!(astrip.len() >= kc * MR && bstrip.len() >= kc * NR);
-    debug_assert!(mr <= MR && nr <= NR);
+    debug_assert!(bstrip.len() >= kc * NR);
+    debug_assert!((1..=MR).contains(&mr) && nr <= NR);
+    let rows = a.rows::<MR>(mr);
     let mut acc = [[_mm256_setzero_ps(); 2]; MR];
-    let mut ap = astrip.as_ptr();
+    let mut koff = 0;
     let mut bp = bstrip.as_ptr();
     for _ in 0..kc {
         let b0 = _mm256_loadu_ps(bp);
         let b1 = _mm256_loadu_ps(bp.add(8));
-        for (ii, accrow) in acc.iter_mut().enumerate() {
-            let av = _mm256_broadcast_ss(&*ap.add(ii));
+        for (accrow, row) in acc.iter_mut().zip(rows) {
+            let av = _mm256_broadcast_ss(&*row.add(koff));
             accrow[0] = _mm256_fmadd_ps(av, b0, accrow[0]);
             accrow[1] = _mm256_fmadd_ps(av, b1, accrow[1]);
         }
-        ap = ap.add(MR);
+        koff += a.cs;
         bp = bp.add(NR);
     }
     if mr == MR && nr == NR {
@@ -257,7 +305,7 @@ impl MicroKernel for NeonKernel {
     unsafe fn run(
         &self,
         kc: usize,
-        astrip: &[f32],
+        a: AView,
         bstrip: &[f32],
         out: *mut f32,
         row_stride: usize,
@@ -267,20 +315,21 @@ impl MicroKernel for NeonKernel {
         use core::arch::aarch64::*;
         const MR: usize = 4;
         const NR: usize = 8;
-        debug_assert!(astrip.len() >= kc * MR && bstrip.len() >= kc * NR);
-        debug_assert!(mr <= MR && nr <= NR);
+        debug_assert!(bstrip.len() >= kc * NR);
+        debug_assert!((1..=MR).contains(&mr) && nr <= NR);
+        let rows = a.rows::<MR>(mr);
         let mut acc = [[vdupq_n_f32(0.0); 2]; MR];
-        let mut ap = astrip.as_ptr();
+        let mut koff = 0;
         let mut bp = bstrip.as_ptr();
         for _ in 0..kc {
             let b0 = vld1q_f32(bp);
             let b1 = vld1q_f32(bp.add(4));
-            for (ii, accrow) in acc.iter_mut().enumerate() {
-                let av = vdupq_n_f32(*ap.add(ii));
+            for (accrow, row) in acc.iter_mut().zip(rows) {
+                let av = vdupq_n_f32(*row.add(koff));
                 accrow[0] = vfmaq_f32(accrow[0], av, b0);
                 accrow[1] = vfmaq_f32(accrow[1], av, b1);
             }
-            ap = ap.add(MR);
+            koff += a.cs;
             bp = bp.add(NR);
         }
         if mr == MR && nr == NR {
@@ -371,8 +420,46 @@ pub fn available_kernels() -> Vec<&'static dyn MicroKernel> {
     kernels
 }
 
+/// Test helpers shared by the kernel and engine tests: float payloads and
+/// the per-element arithmetic each kernel performs.
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::MicroKernel;
+
+    /// Deterministic floats in `[-1, 1)` with full mantissas, so products
+    /// round and a reordered or re-fused sum changes the bits.
+    pub(crate) fn float_payload(len: usize, seed: usize) -> Vec<f32> {
+        let mut state = (seed as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        (0..len)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                ((state >> 40) as f32 / (1u64 << 23) as f32) - 1.0
+            })
+            .collect()
+    }
+
+    /// One depth slice of one output element as `kernel` computes it: a
+    /// zeroed accumulator, then one multiply-add per `kk` in order — fused
+    /// on the SIMD kernels, multiply then add on the scalar one.
+    pub(crate) fn tile_dot(
+        kernel: &dyn MicroKernel,
+        kc: usize,
+        a: impl Fn(usize) -> f32,
+        b: impl Fn(usize) -> f32,
+    ) -> f32 {
+        let fused = kernel.name() != "scalar";
+        (0..kc).fold(
+            0.0f32,
+            |acc, kk| if fused { a(kk).mul_add(b(kk), acc) } else { acc + a(kk) * b(kk) },
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::testing::{float_payload, tile_dot};
     use super::*;
 
     /// Reference for one packed micro-tile: the triple loop over strips.
@@ -387,6 +474,11 @@ mod tests {
             }
         }
         out
+    }
+
+    /// A packed `mr`-row strip as the kernel reads it.
+    fn packed(kernel: &dyn MicroKernel, astrip: &[f32]) -> AView {
+        AView { ptr: astrip.as_ptr(), rs: 1, cs: kernel.mr() }
     }
 
     /// Deterministic small-integer strips: products stay exactly
@@ -410,7 +502,7 @@ mod tests {
         let stride = kernel.nr() + 3;
         let mut out = vec![0.0f32; (kernel.mr() + 1) * stride];
         unsafe {
-            kernel.run(kc, astrip, bstrip, out.as_mut_ptr(), stride, mr, nr);
+            kernel.run(kc, packed(kernel, astrip), bstrip, out.as_mut_ptr(), stride, mr, nr);
         }
         let mut corner = Vec::with_capacity(mr * nr);
         for ii in 0..mr {
@@ -460,11 +552,129 @@ mod tests {
             let stride = knr;
             let mut out = vec![1.0f32; kmr * stride];
             unsafe {
-                kernel.run(kc, &astrip, &bstrip, out.as_mut_ptr(), stride, kmr, knr);
+                kernel.run(
+                    kc,
+                    packed(kernel, &astrip),
+                    &bstrip,
+                    out.as_mut_ptr(),
+                    stride,
+                    kmr,
+                    knr,
+                );
             }
             let want = reference_tile(kc, &astrip, &bstrip, kmr, knr);
             for (o, w) in out.iter().zip(&want) {
                 assert_eq!(*o, w + 1.0, "kernel {} must += into out", kernel.name());
+            }
+        }
+    }
+
+    /// Runs `kernel` on an `mr`×`nr` tile whose A rows are read from
+    /// `a` through `(rs, cs)`, into an output pre-filled with `init`.
+    /// Returns the whole output buffer (row stride `nr + 1`).
+    #[allow(clippy::too_many_arguments)]
+    fn run_view_tile(
+        kernel: &dyn MicroKernel,
+        kc: usize,
+        a: &[f32],
+        rs: usize,
+        cs: usize,
+        bstrip: &[f32],
+        mr: usize,
+        nr: usize,
+        init: f32,
+    ) -> Vec<f32> {
+        let stride = nr + 1;
+        let mut out = vec![init; mr * stride];
+        unsafe {
+            let view = AView { ptr: a.as_ptr(), rs, cs };
+            kernel.run(kc, view, bstrip, out.as_mut_ptr(), stride, mr, nr);
+        }
+        out
+    }
+
+    #[test]
+    fn every_kernel_reads_strided_a_views_bitwise() {
+        // Float payloads (inexact products), A given unpacked — row-major
+        // (`cs = 1`) and transposed (`rs = 1`) — in a buffer that ends at
+        // the last live row, so a read past row `mr - 1` would leave the
+        // allocation (miri flags it). Each output element must match the
+        // kernel's own per-element arithmetic bit for bit.
+        for kernel in available_kernels() {
+            let (kmr, knr) = (kernel.mr(), kernel.nr());
+            for &kc in &[1usize, 5, 33] {
+                let bstrip = float_payload(kc * knr, 7);
+                for mr in 1..=kmr {
+                    for nr in [1, knr - 1, knr] {
+                        for transposed in [false, true] {
+                            // Row-major: rows `kc + 2` apart; transposed:
+                            // depths `mr + 3` apart.
+                            let (rs, cs) = if transposed { (1, mr + 3) } else { (kc + 2, 1) };
+                            let len = (mr - 1) * rs + (kc - 1) * cs + 1;
+                            let a = float_payload(len, mr + kc);
+                            let got = run_view_tile(kernel, kc, &a, rs, cs, &bstrip, mr, nr, 0.5);
+                            for ii in 0..mr {
+                                for jj in 0..=nr {
+                                    let want = if jj == nr {
+                                        0.5
+                                    } else {
+                                        0.5 + tile_dot(
+                                            kernel,
+                                            kc,
+                                            |kk| a[ii * rs + kk * cs],
+                                            |kk| bstrip[kk * knr + jj],
+                                        )
+                                    };
+                                    assert_eq!(
+                                        got[ii * (nr + 1) + jj].to_bits(),
+                                        want.to_bits(),
+                                        "kernel {} kc={kc} mr={mr} nr={nr} transposed={transposed} \
+                                         at ({ii},{jj})",
+                                        kernel.name()
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_clamped_rows_keep_non_finite_values_out_of_live_rows() {
+        // The last live row carries NaN, ±inf and -0.0; the tile rows past
+        // `mr` re-read it. Their products are discarded, so every other
+        // row stays finite and the last row is exactly its own arithmetic.
+        let special = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0];
+        for kernel in available_kernels() {
+            let (kmr, knr) = (kernel.mr(), kernel.nr());
+            let kc = 4;
+            let bstrip = float_payload(kc * knr, 3);
+            for mr in 1..kmr {
+                let mut a = float_payload(mr * kc, 11);
+                a[(mr - 1) * kc..].copy_from_slice(&special);
+                let got = run_view_tile(kernel, kc, &a, kc, 1, &bstrip, mr, knr, 0.0);
+                for ii in 0..mr {
+                    for jj in 0..knr {
+                        let g = got[ii * (knr + 1) + jj];
+                        let want =
+                            tile_dot(kernel, kc, |kk| a[ii * kc + kk], |kk| bstrip[kk * knr + jj]);
+                        if want.is_nan() {
+                            assert!(g.is_nan(), "kernel {} mr={mr} ({ii},{jj})", kernel.name());
+                        } else {
+                            assert_eq!(
+                                g.to_bits(),
+                                want.to_bits(),
+                                "kernel {} mr={mr}",
+                                kernel.name()
+                            );
+                        }
+                        if ii + 1 < mr {
+                            assert!(g.is_finite(), "kernel {} leaked into row {ii}", kernel.name());
+                        }
+                    }
+                }
             }
         }
     }

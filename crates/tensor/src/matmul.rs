@@ -13,11 +13,20 @@
 //!   pack cost would exceed the whole product,
 //! * otherwise — BLIS-style blocking (`gemm_blocked`): the `n` dimension in
 //!   `NC` slabs, the `k` dimension in `KC` slices, the `m` dimension in
-//!   `MC` row blocks. B slabs pack into `nr`-column strips; A blocks pack
-//!   per-thread into `mr`-row strips; the register-tiled micro-kernel chosen
-//!   by [`crate::kernel::selected_kernel`] (AVX2+FMA 6×16, NEON 4×8, or the
+//!   `MC` row blocks. B slabs pack into `nr`-column strips; the
+//!   register-tiled micro-kernel chosen by
+//!   [`crate::kernel::selected_kernel`] (AVX2+FMA 6×16, NEON 4×8, or the
 //!   scalar 4×8 fallback — `ENHANCENET_FORCE_SCALAR=1` pins the latter) does
 //!   the arithmetic, so panel shapes follow the selected kernel's `mr`/`nr`.
+//!   The kernel reads A through a strided [`AView`]. When the output spans
+//!   more than one `nr`-column strip, A blocks pack per-thread into `mr`-row
+//!   strips (the view `rs = 1, cs = mr`) that every column strip then
+//!   reuses; when `n ≤ nr`, each A element would feed a single micro-tile,
+//!   so the kernel reads the caller's buffer in place through the
+//!   `MatRef`'s own strides instead. Either way each output element gets
+//!   the same operations in the same order — per `KC` slice a zeroed
+//!   accumulator, one multiply-add per depth step, one add into `C` — so
+//!   the choice never changes a bit.
 //!   When total work reaches `PAR_MIN_WORK` one GEMM fans out internally:
 //!   across `MC` row blocks for tall outputs, across `NC` column slabs
 //!   for wide ones (each slab task packing its own panels from its worker
@@ -34,7 +43,7 @@
 //! `tensor.kernel.simd_available` (host capability, regardless of forcing),
 //! and `tensor.gemm.par_blocks` (intra-GEMM fan-out width).
 
-use crate::kernel::{self, MicroKernel};
+use crate::kernel::{self, AView, MicroKernel};
 use crate::scratch::with_scratch;
 use crate::shape::MAX_RANK;
 use crate::tensor::Tensor;
@@ -249,7 +258,10 @@ fn gemm_blocked_with(
         });
         return;
     }
-    let (kmr, knr) = (kern.mr(), kern.nr());
+    let knr = kern.nr();
+    // One column strip: each A element feeds exactly one micro-tile, so
+    // packing A would copy it once to read it once.
+    let pack = n > knr;
     for jc in (0..n).step_by(NC) {
         let nc = NC.min(n - jc);
         let nc_pad = nc.next_multiple_of(knr);
@@ -262,11 +274,9 @@ fn gemm_blocked_with(
                 let row_block = |(blk, orows): (usize, &mut [f32])| {
                     let ic = blk * MC;
                     let mc = MC.min(m - ic);
-                    let mc_pad = mc.next_multiple_of(kmr);
-                    with_scratch(kc * mc_pad, |apack| {
-                        pack_a(apack, a, ic, pc, mc, kc, kmr);
-                        record_pack_bytes(kc * mc_pad);
-                        micro_loop(kern, kc, apack, bpack, orows.as_mut_ptr(), n, jc, mc, nc);
+                    with_a_block(kern, a, ic, pc, mc, kc, pack, |ablock, strip_step| {
+                        let out = orows.as_mut_ptr();
+                        micro_loop(kern, kc, ablock, strip_step, bpack, out, n, jc, mc, nc);
                     });
                 };
                 if row_parallel {
@@ -295,7 +305,7 @@ fn gemm_slab(
     jc: usize,
     nc: usize,
 ) {
-    let (kmr, knr) = (kern.mr(), kern.nr());
+    let knr = kern.nr();
     let nc_pad = nc.next_multiple_of(knr);
     for pc in (0..k).step_by(KC) {
         let kc = KC.min(k - pc);
@@ -304,29 +314,63 @@ fn gemm_slab(
             record_pack_bytes(kc * nc_pad);
             for ic in (0..m).step_by(MC) {
                 let mc = MC.min(m - ic);
-                let mc_pad = mc.next_multiple_of(kmr);
-                with_scratch(kc * mc_pad, |apack| {
-                    pack_a(apack, a, ic, pc, mc, kc, kmr);
-                    record_pack_bytes(kc * mc_pad);
+                // A slab is at least two column strips wide: pack A.
+                with_a_block(kern, a, ic, pc, mc, kc, true, |ablock, strip_step| {
                     // In bounds: rows ic..ic+mc and columns jc..jc+nc of
                     // the m×n output this slab exclusively owns.
                     let block = unsafe { base.add(ic * n) };
-                    micro_loop(kern, kc, apack, bpack, block, n, jc, mc, nc);
+                    micro_loop(kern, kc, ablock, strip_step, bpack, block, n, jc, mc, nc);
                 });
             }
         });
     }
 }
 
-/// Walks one packed A block against one packed B slab, dispatching the
-/// micro-kernel per register tile. `out` points at row 0 of the block
-/// (column 0 of the full matrix, row stride `row_stride`); `col0` is the
-/// slab's first absolute column.
+/// Hands `f` the block `a[ic..ic+mc, pc..pc+kc]` as the micro-kernel reads
+/// it: a view of the block's first strip plus the pointer step from one
+/// `mr`-row strip to the next, per row. With `pack`, the block is copied
+/// into `mr`-row strips from the scratch pool (view `rs = 1, cs = mr`,
+/// step `kc`); without, the view is the caller's buffer through `a`'s own
+/// strides (step `a.rs`). The kernel's arithmetic is the same either way.
+#[allow(clippy::too_many_arguments)]
+fn with_a_block(
+    kern: &dyn MicroKernel,
+    a: MatRef,
+    ic: usize,
+    pc: usize,
+    mc: usize,
+    kc: usize,
+    pack: bool,
+    f: impl FnOnce(AView, usize),
+) {
+    if !pack {
+        // Every element (ic+i, pc+kk) of the block sits at or after
+        // (ic, pc) in `a.data`, so the tail slice covers all kernel reads.
+        let ptr = a.data[ic * a.rs + pc * a.cs..].as_ptr();
+        f(AView { ptr, rs: a.rs, cs: a.cs }, a.rs);
+        return;
+    }
+    let kmr = kern.mr();
+    let mc_pad = mc.next_multiple_of(kmr);
+    with_scratch(kc * mc_pad, |apack| {
+        pack_a(apack, a, ic, pc, mc, kc, kmr);
+        record_pack_bytes(kc * mc_pad);
+        f(AView { ptr: apack.as_ptr(), rs: 1, cs: kmr }, kc);
+    });
+}
+
+/// Walks one A block against one packed B slab, dispatching the
+/// micro-kernel per register tile. `ablock` views the block's first strip
+/// and strip `i0` starts `i0 · strip_step` floats later (see
+/// [`with_a_block`]). `out` points at row 0 of the block (column 0 of the
+/// full matrix, row stride `row_stride`); `col0` is the slab's first
+/// absolute column.
 #[allow(clippy::too_many_arguments)]
 fn micro_loop(
     kern: &dyn MicroKernel,
     kc: usize,
-    apack: &[f32],
+    ablock: AView,
+    strip_step: usize,
     bpack: &[f32],
     out: *mut f32,
     row_stride: usize,
@@ -340,11 +384,12 @@ fn micro_loop(
         let bstrip = &bpack[j0 * kc..j0 * kc + kc * knr];
         for i0 in (0..mc).step_by(kmr) {
             let mr = kmr.min(mc - i0);
-            let astrip = &apack[i0 * kc..i0 * kc + kc * kmr];
-            // Safety: the tile at rows [i0, i0+mr) × columns
-            // [col0+j0, col0+j0+nr) lies inside the caller's exclusive
-            // region, and the strips carry kc·mr/kc·nr packed floats.
+            // Safety: the strip's rows [i0, i0+mr) × depths [0, kc) are
+            // block elements (see `with_a_block`); the tile at rows
+            // [i0, i0+mr) × columns [col0+j0, col0+j0+nr) lies inside the
+            // caller's exclusive region; the B strip carries kc·nr floats.
             unsafe {
+                let astrip = AView { ptr: ablock.ptr.add(i0 * strip_step), ..ablock };
                 let tile = out.add(i0 * row_stride + col0 + j0);
                 kern.run(kc, astrip, bstrip, tile, row_stride, mr, nr);
             }
@@ -353,15 +398,17 @@ fn micro_loop(
 }
 
 /// Packs `a[ic..ic+mc, pc..pc+kc]` into `mr`-row strips: strip `i0` holds
-/// `buf[i0·kc + kk·mr + ii] = a(ic+i0+ii, pc+kk)`, zero-padded past `mc` so
-/// the micro-kernel never branches on ragged rows.
+/// `buf[i0·kc + kk·mr + ii] = a(ic+i0+ii, pc+kk)`. A ragged last strip
+/// leaves its slots past `mc` unwritten: the kernel re-reads the last live
+/// row in their place (see [`AView`]), so nothing ever reads them.
 fn pack_a(buf: &mut [f32], a: MatRef, ic: usize, pc: usize, mc: usize, kc: usize, mr: usize) {
     for i0 in (0..mc).step_by(mr) {
+        let live = mr.min(mc - i0);
         let strip = &mut buf[i0 * kc..i0 * kc + kc * mr];
         for kk in 0..kc {
-            let dst = &mut strip[kk * mr..kk * mr + mr];
+            let dst = &mut strip[kk * mr..kk * mr + live];
             for (ii, d) in dst.iter_mut().enumerate() {
-                *d = if i0 + ii < mc { a.at(ic + i0 + ii, pc + kk) } else { 0.0 };
+                *d = a.at(ic + i0 + ii, pc + kk);
             }
         }
     }
@@ -917,6 +964,7 @@ impl Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::testing::{float_payload, tile_dot};
 
     /// Unblocked, unpacked reference: the plain triple loop every kernel
     /// variant must agree with.
@@ -1105,9 +1153,10 @@ mod tests {
     }
 
     #[test]
-    fn pack_a_layout_strips_and_zero_pads() {
+    fn pack_a_layout_strips_live_rows_only() {
         // 5x3 source packed with mr = 4, kc = 3: strip 0 interleaves rows
-        // 0..4 by depth; strip 1 holds row 4 plus three zero-padded rows.
+        // 0..4 by depth; strip 1 holds row 4, and its three missing rows
+        // are never written (the kernel re-reads row 4 in their place).
         let data: Vec<f32> = (0..15).map(|v| v as f32).collect();
         let a = MatRef::normal(&data, 3);
         let mut buf = vec![f32::NAN; 3 * 8];
@@ -1116,9 +1165,11 @@ mod tests {
         assert_eq!(&buf[0..4], &[0.0, 3.0, 6.0, 9.0]);
         // Strip 0, depth 2: column 2 of rows 0..4.
         assert_eq!(&buf[8..12], &[2.0, 5.0, 8.0, 11.0]);
-        // Strip 1, depth 0: row 4 then zero padding — never stale NaNs.
-        assert_eq!(&buf[12..16], &[12.0, 0.0, 0.0, 0.0]);
-        assert!(buf[12..].iter().all(|v| !v.is_nan()));
+        // Strip 1: row 4 at each depth, the unread slots untouched.
+        for (kk, depth) in buf[12..].chunks(4).enumerate() {
+            assert_eq!(depth[0], 12.0 + kk as f32);
+            assert!(depth[1..].iter().all(|v| v.is_nan()));
+        }
     }
 
     #[test]
@@ -1165,6 +1216,198 @@ mod tests {
                         want.data(),
                         "kernel {} mismatch at ({m},{k},{n}) parallel={parallel}",
                         kern.name()
+                    );
+                }
+            }
+        }
+    }
+
+    /// Each output element exactly as the blocked engine computes it with
+    /// `kern`: per `KC` depth slice, the kernel's own multiply-add chain
+    /// from zero, then one add into the output.
+    fn blocked_reference(
+        kern: &dyn MicroKernel,
+        a: MatRef,
+        b: MatRef,
+        m: usize,
+        k: usize,
+        n: usize,
+    ) -> Vec<f32> {
+        let mut out = vec![0.0f32; m * n];
+        for (idx, o) in out.iter_mut().enumerate() {
+            let (i, j) = (idx / n, idx % n);
+            for pc in (0..k).step_by(KC) {
+                let kc = KC.min(k - pc);
+                *o += tile_dot(kern, kc, |kk| a.at(i, pc + kk), |kk| b.at(pc + kk, j));
+            }
+        }
+        out
+    }
+
+    /// Bit equality, except that a NaN need only be NaN on both sides.
+    fn assert_same_bits(got: &[f32], want: &[f32], ctx: &str) {
+        assert_eq!(got.len(), want.len(), "{ctx}: length");
+        for (idx, (g, w)) in got.iter().zip(want).enumerate() {
+            if w.is_nan() {
+                assert!(g.is_nan(), "{ctx}: element {idx} is {g}, want NaN");
+            } else {
+                assert_eq!(g.to_bits(), w.to_bits(), "{ctx}: element {idx} is {g}, want {w}");
+            }
+        }
+    }
+
+    /// `[m, k]` float payload stored row-major (`normal`) or as its
+    /// `[k, m]` transpose (`transposed`), with `last_row` written into
+    /// logical row `m - 1` from depth 0 on.
+    fn a_operand(m: usize, k: usize, transposed: bool, last_row: &[f32], seed: usize) -> Vec<f32> {
+        let mut data = float_payload(m * k, seed);
+        for (kk, &v) in last_row.iter().enumerate().take(k) {
+            let idx = if transposed { kk * m + m - 1 } else { (m - 1) * k + kk };
+            data[idx] = v;
+        }
+        data
+    }
+
+    #[test]
+    fn every_kernel_unpacked_engine_matches_per_element_arithmetic() {
+        // n ≤ nr reads A unpacked (normal and transposed views); nr + 1
+        // takes the packed path through the same kernel. m covers a single
+        // short strip, a ragged last strip, and two row blocks (so the
+        // parallel run splits into row bands); k covers one and several
+        // KC slices. Float payloads make any reordering visible.
+        for kern in crate::kernel::available_kernels() {
+            let (kmr, knr) = (kern.mr(), kern.nr());
+            let shapes: Vec<(usize, usize)> = if cfg!(miri) {
+                // Miri interprets every multiply-add: one (m, k) per pointer
+                // pattern — two KC slices, a ragged strip, two row blocks.
+                vec![(kmr - 1, KC + 1), (2 * kmr + 1, 3), (MC + 3, 2)]
+            } else {
+                let ks = [1, KC - 1, KC + 1, 2 * KC + 3];
+                [kmr - 1, 2 * kmr + 1, MC + 3]
+                    .into_iter()
+                    .flat_map(|m| ks.map(|k| (m, k)))
+                    .collect()
+            };
+            for n in [1, knr - 1, knr, knr + 1] {
+                for &(m, k) in &shapes {
+                    let b = float_payload(k * n, 5);
+                    let b = MatRef::normal(&b, n);
+                    for transposed in [false, true] {
+                        let data = a_operand(m, k, transposed, &[], m + k);
+                        let a = if transposed {
+                            MatRef::transposed(&data, m)
+                        } else {
+                            MatRef::normal(&data, k)
+                        };
+                        let want = blocked_reference(kern, a, b, m, k, n);
+                        for parallel in [false, true] {
+                            let mut got = vec![0.0f32; m * n];
+                            gemm_blocked_with(kern, &mut got, a, b, m, k, n, parallel);
+                            let ctx = format!(
+                                "kernel {} ({m},{k},{n}) transposed={transposed} \
+                                 parallel={parallel}",
+                                kern.name()
+                            );
+                            assert_same_bits(&got, &want, &ctx);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_kernel_unpacked_engine_confines_non_finite_last_row() {
+        // NaN, ±inf and -0.0 in A's last row, which ends a ragged strip:
+        // the kernel re-reads that row for the missing tile rows, and
+        // those products must not reach any live output.
+        let special = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, -0.0, 1.0];
+        for kern in crate::kernel::available_kernels() {
+            let (kmr, knr) = (kern.mr(), kern.nr());
+            let (m, k) = (2 * kmr + 1, special.len());
+            for n in [1, knr] {
+                let b = float_payload(k * n, 9);
+                let b = MatRef::normal(&b, n);
+                for transposed in [false, true] {
+                    let data = a_operand(m, k, transposed, &special, 3);
+                    let a = if transposed {
+                        MatRef::transposed(&data, m)
+                    } else {
+                        MatRef::normal(&data, k)
+                    };
+                    let want = blocked_reference(kern, a, b, m, k, n);
+                    assert!(want[..(m - 1) * n].iter().all(|v| v.is_finite()));
+                    let mut got = vec![0.0f32; m * n];
+                    gemm_blocked_with(kern, &mut got, a, b, m, k, n, false);
+                    let ctx = format!("kernel {} n={n} transposed={transposed}", kern.name());
+                    assert_same_bits(&got, &want, &ctx);
+                }
+            }
+        }
+    }
+
+    /// Batch `bi` of a `[batch, ..]` tensor whose batches hold `len` floats.
+    fn per_batch(t: &Tensor, bi: usize, len: usize) -> &[f32] {
+        &t.data()[bi * len..(bi + 1) * len]
+    }
+
+    #[test]
+    fn narrow_entry_points_match_blocked_arithmetic_bitwise() {
+        // Every public product whose A operand the engine can read in
+        // place, on shapes above PACK_MIN_WORK so they take the blocked
+        // path with the process-selected kernel. The batch of 12 forks
+        // across batches for the wider outputs; m = 300 parallelizes one
+        // product in row bands.
+        let kern = kernel::selected_kernel();
+        let knr = kern.nr();
+        let (k, batch) = (KC + 1, 12);
+        for n in [1, knr - 1, knr, knr + 1] {
+            for m in [67, 300] {
+                assert!(m * k * n >= PACK_MIN_WORK);
+                let a = Tensor::from_vec(float_payload(batch * m * k, 1), &[batch, m, k]);
+                let at = Tensor::from_vec(float_payload(batch * k * m, 2), &[batch, k, m]);
+                let x = Tensor::from_vec(float_payload(batch * k * n, 3), &[batch, k, n]);
+                let want_of = |a: MatRef, bi: usize| {
+                    let b = MatRef::normal(per_batch(&x, bi, k * n), n);
+                    blocked_reference(kern, a, b, m, k, n)
+                };
+                let first = |t: &Tensor, len: usize, shape: &[usize]| {
+                    Tensor::from_vec(t.data()[..len].to_vec(), shape)
+                };
+                let (a0, at0, x0) = (
+                    first(&a, m * k, &[m, k]),
+                    first(&at, k * m, &[k, m]),
+                    first(&x, k * n, &[k, n]),
+                );
+                let ctx = format!("({m},{k},{n})");
+
+                let want = want_of(MatRef::normal(a0.data(), k), 0);
+                assert_same_bits(a0.matmul(&x0).data(), &want, &format!("matmul {ctx}"));
+                let rows = Tensor::from_vec(a0.data().to_vec(), &[1, m, k]);
+                let got = rows.matmul_broadcast_right(&x0);
+                assert_same_bits(got.data(), &want, &format!("broadcast_right {ctx}"));
+                let want_t = want_of(MatRef::transposed(at0.data(), m), 0);
+                assert_same_bits(at0.matmul_tn(&x0).data(), &want_t, &format!("matmul_tn {ctx}"));
+
+                let (bmm, bmm_tn) = (a.bmm(&x), at.bmm_tn(&x));
+                let (left, left_tn) =
+                    (a0.matmul_broadcast_left(&x), at0.matmul_broadcast_left_tn(&x));
+                for bi in 0..batch {
+                    let want = want_of(MatRef::normal(per_batch(&a, bi, m * k), k), bi);
+                    assert_same_bits(per_batch(&bmm, bi, m * n), &want, &format!("bmm {ctx} {bi}"));
+                    let want = want_of(MatRef::transposed(per_batch(&at, bi, k * m), m), bi);
+                    assert_same_bits(
+                        per_batch(&bmm_tn, bi, m * n),
+                        &want,
+                        &format!("bmm_tn {ctx}"),
+                    );
+                    let want = want_of(MatRef::normal(a0.data(), k), bi);
+                    assert_same_bits(per_batch(&left, bi, m * n), &want, &format!("left {ctx}"));
+                    let want = want_of(MatRef::transposed(at0.data(), m), bi);
+                    assert_same_bits(
+                        per_batch(&left_tn, bi, m * n),
+                        &want,
+                        &format!("left_tn {ctx}"),
                     );
                 }
             }

@@ -37,6 +37,12 @@ fn force_scalar_env_pins_dispatch_and_stays_correct() {
     enhancenet_telemetry::set_enabled(true);
     let got = a.matmul(&b);
     let scalar_dispatches = enhancenet_telemetry::counter_value("tensor.kernel.dispatch.scalar");
+    // A product whose output fits one register strip reads A in place
+    // instead of packing it; it is still one counted blocked dispatch.
+    let narrow = Tensor::from_vec(b.data()[..k * 5].to_vec(), &[k, 5]);
+    let got_narrow = a.matmul(&narrow);
+    let narrow_dispatches =
+        enhancenet_telemetry::counter_value("tensor.kernel.dispatch.scalar") - scalar_dispatches;
     let simd_dispatches = enhancenet_telemetry::counter_value("tensor.kernel.dispatch.avx2")
         + enhancenet_telemetry::counter_value("tensor.kernel.dispatch.neon");
     let simd_available = enhancenet_telemetry::counter_value("tensor.kernel.simd_available");
@@ -44,6 +50,17 @@ fn force_scalar_env_pins_dispatch_and_stays_correct() {
 
     assert_eq!(got.data(), &want[..], "forced-scalar blocked path must match the reference");
     assert!(scalar_dispatches >= 1, "blocked dispatch must count the scalar kernel");
+    assert_eq!(narrow_dispatches, 1, "an unpacked blocked dispatch must count the scalar kernel");
+    for i in 0..m {
+        for j in 0..5 {
+            let want: f32 = (0..k).map(|kk| a.data()[i * k + kk] * narrow.data()[kk * 5 + j]).sum();
+            assert_eq!(
+                got_narrow.data()[i * 5 + j],
+                want,
+                "forced-scalar unpacked path at ({i},{j})"
+            );
+        }
+    }
     assert_eq!(simd_dispatches, 0, "no vectorized kernel may run under the forced hatch");
     if kernel::simd_available() {
         // The capability counter keeps reporting the host's ability even
