@@ -1,240 +1,174 @@
 //! The backward (vector–Jacobian) rules for every [`Op`].
 
-#[cfg(test)]
-use crate::graph::Var;
-use crate::graph::{Graph, Op};
+use crate::graph::{Graph, Var};
+use crate::op::Op;
 use enhancenet_tensor::{sparse, Tensor};
+
+/// Adds `g` into the gradient slot of `v`.
+fn accumulate(grads: &mut [Option<Tensor>], v: Var, g: Tensor) {
+    let slot = &mut grads[v.0 as usize];
+    match slot {
+        Some(existing) => existing.add_assign_t(&g),
+        None => *slot = Some(g),
+    }
+}
 
 impl Graph {
     /// Propagates the output gradient `gy` of node `i` to its inputs.
     pub(crate) fn propagate(&mut self, i: usize, gy: &Tensor) {
-        // Clone the small metadata up front so `self` can be reborrowed for
-        // accumulation afterwards.
-        let op = self.nodes[i].op.clone();
-        let inputs = self.nodes[i].inputs.clone();
-        match op {
+        // The node (op attributes, output value) and its inputs' values are
+        // read in place while the gradient slots, a disjoint field, are
+        // written — nothing is cloned per node.
+        let Graph { nodes, grads, .. } = self;
+        let node = &nodes[i];
+        let input = |k: usize| &nodes[node.inputs[k].0 as usize].value;
+        let mut acc = |k: usize, g: Tensor| accumulate(grads, node.inputs[k], g);
+        match &node.op {
             Op::Leaf => {}
 
             Op::Add => {
-                let (a, b) = (inputs[0], inputs[1]);
-                let ga = gy.reduce_to_shape(self.value(a).shape());
-                let gb = gy.reduce_to_shape(self.value(b).shape());
-                self.accumulate(a, ga);
-                self.accumulate(b, gb);
+                acc(0, gy.reduce_to_shape(input(0).shape()));
+                acc(1, gy.reduce_to_shape(input(1).shape()));
             }
             Op::Sub => {
-                let (a, b) = (inputs[0], inputs[1]);
-                let ga = gy.reduce_to_shape(self.value(a).shape());
-                let gb = (-gy).reduce_to_shape(self.value(b).shape());
-                self.accumulate(a, ga);
-                self.accumulate(b, gb);
+                acc(0, gy.reduce_to_shape(input(0).shape()));
+                acc(1, (-gy).reduce_to_shape(input(1).shape()));
             }
             Op::Mul => {
-                let (a, b) = (inputs[0], inputs[1]);
-                let ga = gy.mul_t(self.value(b)).reduce_to_shape(self.value(a).shape());
-                let gb = gy.mul_t(self.value(a)).reduce_to_shape(self.value(b).shape());
-                self.accumulate(a, ga);
-                self.accumulate(b, gb);
+                acc(0, gy.mul_t(input(1)).reduce_to_shape(input(0).shape()));
+                acc(1, gy.mul_t(input(0)).reduce_to_shape(input(1).shape()));
             }
             Op::Div => {
-                let (a, b) = (inputs[0], inputs[1]);
-                let vb = self.value(b);
-                let va = self.value(a);
-                let ga = gy.div_t(vb).reduce_to_shape(va.shape());
+                let (va, vb) = (input(0), input(1));
+                acc(0, gy.div_t(vb).reduce_to_shape(va.shape()));
                 // d/db (a/b) = -a / b^2
-                let gb = (-&gy.mul_t(va).div_t(&vb.mul_t(vb))).reduce_to_shape(vb.shape());
-                self.accumulate(a, ga);
-                self.accumulate(b, gb);
+                acc(1, (-&gy.mul_t(va).div_t(&vb.mul_t(vb))).reduce_to_shape(vb.shape()));
             }
-            Op::Neg => self.accumulate(inputs[0], -gy),
-            Op::AddScalar(_) => self.accumulate(inputs[0], gy.clone()),
-            Op::MulScalar(c) => self.accumulate(inputs[0], gy.mul_scalar(c)),
+            Op::Neg => acc(0, -gy),
+            Op::AddScalar(_) => acc(0, gy.clone()),
+            Op::MulScalar(c) => acc(0, gy.mul_scalar(*c)),
 
             // Every matmul-family rule below uses the transpose-fused GEMM
             // entry points (`_tn` reads the left operand transposed, `_nt`
             // the right), so no gradient ever materializes a transpose.
             Op::MatMul => {
                 // y[m,n] = a[m,k] @ b[k,n] ⇒ ga = gy·bᵀ, gb = aᵀ·gy
-                let (a, b) = (inputs[0], inputs[1]);
-                let ga = gy.matmul_nt(self.value(b));
-                let gb = self.value(a).matmul_tn(gy);
-                self.accumulate(a, ga);
-                self.accumulate(b, gb);
+                acc(0, gy.matmul_nt(input(1)));
+                acc(1, input(0).matmul_tn(gy));
             }
             Op::MatMulNT => {
                 // y[m,n] = a[m,k] @ b[n,k]ᵀ ⇒ ga = gy·b, gb = gyᵀ·a
-                let (a, b) = (inputs[0], inputs[1]);
-                let ga = gy.matmul(self.value(b));
-                let gb = gy.matmul_tn(self.value(a));
-                self.accumulate(a, ga);
-                self.accumulate(b, gb);
+                acc(0, gy.matmul(input(1)));
+                acc(1, gy.matmul_tn(input(0)));
             }
             Op::Bmm => {
                 // yᵦ = aᵦ @ bᵦ ⇒ gaᵦ = gyᵦ·bᵦᵀ, gbᵦ = aᵦᵀ·gyᵦ
-                let (a, b) = (inputs[0], inputs[1]);
-                let ga = gy.bmm_nt(self.value(b));
-                let gb = self.value(a).bmm_tn(gy);
-                self.accumulate(a, ga);
-                self.accumulate(b, gb);
+                acc(0, gy.bmm_nt(input(1)));
+                acc(1, input(0).bmm_tn(gy));
             }
             Op::BmmNT => {
                 // yᵦ = aᵦ @ bᵦᵀ ⇒ gaᵦ = gyᵦ·bᵦ, gbᵦ = gyᵦᵀ·aᵦ
-                let (a, b) = (inputs[0], inputs[1]);
-                let ga = gy.bmm(self.value(b));
-                let gb = gy.bmm_tn(self.value(a));
-                self.accumulate(a, ga);
-                self.accumulate(b, gb);
+                acc(0, gy.bmm(input(1)));
+                acc(1, gy.bmm_tn(input(0)));
             }
             Op::MatMulBroadcastLeft => {
                 // y[b,m,n] = a[m,k] @ x[b,k,n] ⇒ ga = Σᵦ gyᵦ·xᵦᵀ (one
                 // batch-summed fused GEMM, no [b,m,k] intermediate),
                 // gxᵦ = aᵀ·gyᵦ
-                let (a, x) = (inputs[0], inputs[1]);
-                let ga = gy.bmm_nt_reduce(self.value(x));
-                let gx = self.value(a).matmul_broadcast_left_tn(gy);
-                self.accumulate(a, ga);
-                self.accumulate(x, gx);
+                acc(0, gy.bmm_nt_reduce(input(1)));
+                acc(1, input(0).matmul_broadcast_left_tn(gy));
             }
             Op::MatMulBroadcastRight => {
                 // y[..,n] = x[..,k] @ w[k,n] ⇒ gx = gy·wᵀ,
                 // gw = xᵀ_flat·gy_flat (leading axes fold in the kernel —
                 // no reshape copies)
-                let (x, w) = (inputs[0], inputs[1]);
-                let gx = gy.matmul_broadcast_right_nt(self.value(w));
-                let gw = self.value(x).matmul_tn_flat(gy);
-                self.accumulate(x, gx);
-                self.accumulate(w, gw);
+                acc(0, gy.matmul_broadcast_right_nt(input(1)));
+                acc(1, input(0).matmul_tn_flat(gy));
             }
 
-            Op::Sigmoid => {
-                let y = &self.nodes[i].value;
-                let g = gy.zip_with(y, |g, y| g * y * (1.0 - y));
-                self.accumulate(inputs[0], g);
-            }
-            Op::Tanh => {
-                let y = &self.nodes[i].value;
-                let g = gy.zip_with(y, |g, y| g * (1.0 - y * y));
-                self.accumulate(inputs[0], g);
-            }
-            Op::Relu => {
-                let x = self.value(inputs[0]);
-                let g = gy.zip_with(x, |g, x| if x > 0.0 { g } else { 0.0 });
-                self.accumulate(inputs[0], g);
-            }
-            Op::Exp => {
-                let y = &self.nodes[i].value;
-                let g = gy.mul_t(y);
-                self.accumulate(inputs[0], g);
-            }
-            Op::Ln => {
-                let x = self.value(inputs[0]);
-                let g = gy.div_t(x);
-                self.accumulate(inputs[0], g);
-            }
-            Op::Sqrt => {
-                let y = &self.nodes[i].value;
-                let g = gy.zip_with(y, |g, y| 0.5 * g / y.max(1e-12));
-                self.accumulate(inputs[0], g);
-            }
+            Op::Sigmoid => acc(0, gy.zip_with(&node.value, |g, y| g * y * (1.0 - y))),
+            Op::Tanh => acc(0, gy.zip_with(&node.value, |g, y| g * (1.0 - y * y))),
+            Op::Relu => acc(0, gy.zip_with(input(0), |g, x| if x > 0.0 { g } else { 0.0 })),
+            Op::Exp => acc(0, gy.mul_t(&node.value)),
+            Op::Ln => acc(0, gy.div_t(input(0))),
+            Op::Sqrt => acc(0, gy.zip_with(&node.value, |g, y| 0.5 * g / y.max(1e-12))),
             Op::Abs => {
-                let x = self.value(inputs[0]);
-                let g = gy.zip_with(x, |g, x| g * x.signum() * (x != 0.0) as i32 as f32);
-                self.accumulate(inputs[0], g);
+                acc(0, gy.zip_with(input(0), |g, x| g * x.signum() * (x != 0.0) as i32 as f32))
             }
-            Op::Square => {
-                let x = self.value(inputs[0]);
-                let g = gy.zip_with(x, |g, x| 2.0 * g * x);
-                self.accumulate(inputs[0], g);
-            }
+            Op::Square => acc(0, gy.zip_with(input(0), |g, x| 2.0 * g * x)),
 
             Op::Softmax { axis } => {
                 // dx = y ⊙ (gy − Σ_axis gy⊙y)
-                let y = self.nodes[i].value.clone();
-                let gy_y = gy.mul_t(&y);
+                let y = &node.value;
                 let rank = y.rank() as isize;
-                let ax = if axis < 0 { axis + rank } else { axis };
-                let s = gy_y.sum_axis_keepdim(ax);
-                let g = y.mul_t(&gy.sub_t(&s));
-                self.accumulate(inputs[0], g);
+                let ax = if *axis < 0 { axis + rank } else { *axis };
+                let s = gy.mul_t(y).sum_axis_keepdim(ax);
+                acc(0, y.mul_t(&gy.sub_t(&s)));
             }
 
-            Op::SumAll => {
-                let shape = self.value(inputs[0]).shape().to_vec();
-                self.accumulate(inputs[0], Tensor::full(&shape, gy.item()));
-            }
+            Op::SumAll => acc(0, Tensor::full(input(0).shape(), gy.item())),
             Op::MeanAll => {
-                let shape = self.value(inputs[0]).shape().to_vec();
-                let n = self.value(inputs[0]).numel() as f32;
-                self.accumulate(inputs[0], Tensor::full(&shape, gy.item() / n));
+                let x = input(0);
+                acc(0, Tensor::full(x.shape(), gy.item() / x.numel() as f32));
             }
             Op::SumAxis { axis } => {
-                let shape = self.value(inputs[0]).shape().to_vec();
-                let g = gy.unsqueeze(axis as isize).add_t(&Tensor::zeros(&shape));
-                self.accumulate(inputs[0], g);
+                let zeros = Tensor::zeros(input(0).shape());
+                acc(0, gy.unsqueeze(*axis as isize).add_t(&zeros));
             }
             Op::MeanAxis { axis } => {
-                let shape = self.value(inputs[0]).shape().to_vec();
-                let len = shape[axis] as f32;
-                let g =
-                    gy.unsqueeze(axis as isize).mul_scalar(1.0 / len).add_t(&Tensor::zeros(&shape));
-                self.accumulate(inputs[0], g);
+                let shape = input(0).shape();
+                let len = shape[*axis] as f32;
+                let zeros = Tensor::zeros(shape);
+                acc(0, gy.unsqueeze(*axis as isize).mul_scalar(1.0 / len).add_t(&zeros));
             }
 
-            Op::Reshape { from } => self.accumulate(inputs[0], gy.reshape(&from)),
+            Op::Reshape { .. } => acc(0, gy.reshape(input(0).shape())),
             Op::Permute { perm } => {
                 let mut inv = vec![0usize; perm.len()];
                 for (j, &p) in perm.iter().enumerate() {
                     inv[p] = j;
                 }
-                self.accumulate(inputs[0], gy.permute(&inv));
+                acc(0, gy.permute(&inv));
             }
             Op::Concat { axis, sizes } => {
                 let mut start = 0;
-                for (part, &len) in inputs.iter().zip(&sizes) {
-                    let g = gy.slice_axis(axis as isize, start, start + len);
-                    self.accumulate(*part, g);
+                for (k, &len) in sizes.iter().enumerate() {
+                    acc(k, gy.slice_axis(*axis as isize, start, start + len));
                     start += len;
                 }
             }
-            Op::Slice { axis, start, input_len } => {
-                let g = scatter_slice(gy, axis, start, input_len);
-                self.accumulate(inputs[0], g);
+            Op::Slice { axis, start, .. } => {
+                acc(0, scatter_slice(gy, *axis, *start, input(0).shape()[*axis]));
             }
             Op::PadFront { axis, count } => {
-                let padded_len = self.nodes[i].value.shape()[axis];
-                let g = gy.slice_axis(axis as isize, count, padded_len);
-                self.accumulate(inputs[0], g);
+                let padded_len = node.value.shape()[*axis];
+                acc(0, gy.slice_axis(*axis as isize, *count, padded_len));
             }
-            Op::BroadcastTo { from } => {
-                self.accumulate(inputs[0], gy.reduce_to_shape(&from));
-            }
+            Op::BroadcastTo { .. } => acc(0, gy.reduce_to_shape(input(0).shape())),
 
             Op::GatherDotNT { pattern } => {
                 // y[..,i,j] = ⟨a[..,i,:], b[..,cols(i,j),:]⟩
                 // ⇒ ga[..,i,:] = Σⱼ gy[..,i,j]·b[..,cols(i,j),:]  (spmm)
                 //   gb[..,cols(i,j),:] += gy[..,i,j]·a[..,i,:]    (scatter)
-                let (a, b) = (inputs[0], inputs[1]);
                 let mut ga = Tensor::default();
-                sparse::topk_spmm_into(gy, self.value(b), &pattern, &mut ga);
+                sparse::topk_spmm_into(gy, input(1), pattern, &mut ga);
                 let mut gb = Tensor::default();
-                sparse::topk_scatter_into(gy, self.value(a), &pattern, &mut gb);
-                self.accumulate(a, ga);
-                self.accumulate(b, gb);
+                sparse::topk_scatter_into(gy, input(0), pattern, &mut gb);
+                acc(0, ga);
+                acc(1, gb);
             }
             Op::MaskedSoftmax => {
                 // Same rule as Softmax over the last axis: the output is
                 // zero at masked entries, so y ⊙ (gy − Σ gy⊙y) already
                 // routes nothing through them. The mask gets no gradient.
-                let y = self.nodes[i].value.clone();
-                let gy_y = gy.mul_t(&y);
-                let s = gy_y.sum_axis_keepdim(y.rank() as isize - 1);
-                let g = y.mul_t(&gy.sub_t(&s));
-                self.accumulate(inputs[0], g);
+                let y = &node.value;
+                let s = gy.mul_t(y).sum_axis_keepdim(y.rank() as isize - 1);
+                acc(0, y.mul_t(&gy.sub_t(&s)));
             }
             Op::SpmmCsr { csr_t, .. } => {
                 // y = A·x for constant A ⇒ gx = Aᵀ·gy, via the precomputed
                 // transpose. A itself is non-differentiable structure.
-                self.accumulate(inputs[0], csr_t.spmm(gy));
+                acc(0, csr_t.spmm(gy));
             }
             Op::SpmmTopk { pattern } => {
                 // y[..,i,:] = Σⱼ vals[..,i,j]·x[..,cols(i,j),:]
@@ -242,17 +176,17 @@ impl Graph {
                 //   (batch-summed when vals were broadcast rank-2),
                 //   gx[..,cols(i,j),:] += vals[..,i,j]·gy[..,i,:].
                 // Dropped entries receive no gradient at all.
-                let (vals, x) = (inputs[0], inputs[1]);
+                let (vals, x) = (input(0), input(1));
                 let mut gvals = Tensor::default();
-                if self.value(vals).rank() == 2 && gy.rank() == 3 {
-                    sparse::topk_gather_dot_reduce_into(gy, self.value(x), &pattern, &mut gvals);
+                if vals.rank() == 2 && gy.rank() == 3 {
+                    sparse::topk_gather_dot_reduce_into(gy, x, pattern, &mut gvals);
                 } else {
-                    sparse::topk_gather_dot_into(gy, self.value(x), &pattern, &mut gvals);
+                    sparse::topk_gather_dot_into(gy, x, pattern, &mut gvals);
                 }
                 let mut gx = Tensor::default();
-                sparse::topk_scatter_into(self.value(vals), gy, &pattern, &mut gx);
-                self.accumulate(vals, gvals);
-                self.accumulate(x, gx);
+                sparse::topk_scatter_into(vals, gy, pattern, &mut gx);
+                acc(0, gvals);
+                acc(1, gx);
             }
         }
     }

@@ -3,63 +3,22 @@
 //! A [`PlanExecutor`] owns a plan plus the preallocated buffers it runs
 //! against: one arena [`Tensor`] per plan slot (sized to the slot's peak
 //! element count) and a staging tensor for rank-promoting single-window
-//! requests. Warm executions write every intermediate through the tensor
-//! crate's `_into` kernels into these buffers — the whole forward performs
-//! **zero heap allocations** (pinned by `crates/core/tests/plan_allocations.rs`).
+//! requests. Each instruction runs its op's one forward definition,
+//! [`Op::forward_into`](crate::Op) — the same call the tape makes when it
+//! records the node — into its arena slot, so a plan's output equals the
+//! tape's bit for bit by construction. Operands are resolved by index, not
+//! collected, and the warm forward performs **zero heap allocations**
+//! (pinned by `crates/core/tests/plan_allocations.rs`).
 //!
 //! An executor reads nothing but its plan and the request: the weights it
 //! computes with are the plan's folded constants, taken from the store the
 //! plan was traced from. Several executors may share one plan (`Arc<Plan>`),
 //! each with its own arena.
 
-use crate::graph::Op;
-use crate::plan::{Instr, Plan, Src};
-use enhancenet_tensor::{sparse, Tensor};
+use crate::plan::{Plan, Src};
+use enhancenet_tensor::Tensor;
 use std::mem;
 use std::sync::Arc;
-
-/// Static span label for one op tag (recorded on the first, profiling run).
-pub(crate) fn op_label(op: &Op) -> &'static str {
-    match op {
-        Op::Leaf => "plan.op.leaf",
-        Op::Add => "plan.op.add",
-        Op::Sub => "plan.op.sub",
-        Op::Mul => "plan.op.mul",
-        Op::Div => "plan.op.div",
-        Op::Neg => "plan.op.neg",
-        Op::AddScalar(_) => "plan.op.add_scalar",
-        Op::MulScalar(_) => "plan.op.mul_scalar",
-        Op::MatMul => "plan.op.matmul",
-        Op::MatMulNT => "plan.op.matmul_nt",
-        Op::Bmm => "plan.op.bmm",
-        Op::BmmNT => "plan.op.bmm_nt",
-        Op::MatMulBroadcastLeft => "plan.op.mm_bcast_left",
-        Op::MatMulBroadcastRight => "plan.op.mm_bcast_right",
-        Op::Sigmoid => "plan.op.sigmoid",
-        Op::Tanh => "plan.op.tanh",
-        Op::Relu => "plan.op.relu",
-        Op::Exp => "plan.op.exp",
-        Op::Ln => "plan.op.ln",
-        Op::Sqrt => "plan.op.sqrt",
-        Op::Abs => "plan.op.abs",
-        Op::Square => "plan.op.square",
-        Op::Softmax { .. } => "plan.op.softmax",
-        Op::SumAll => "plan.op.sum_all",
-        Op::MeanAll => "plan.op.mean_all",
-        Op::SumAxis { .. } => "plan.op.sum_axis",
-        Op::MeanAxis { .. } => "plan.op.mean_axis",
-        Op::Reshape { .. } => "plan.op.reshape",
-        Op::Permute { .. } => "plan.op.permute",
-        Op::Concat { .. } => "plan.op.concat",
-        Op::Slice { .. } => "plan.op.slice",
-        Op::PadFront { .. } => "plan.op.pad_front",
-        Op::BroadcastTo { .. } => "plan.op.broadcast_to",
-        Op::GatherDotNT { .. } => "plan.op.gather_dot_nt",
-        Op::MaskedSoftmax => "plan.op.masked_softmax",
-        Op::SpmmCsr { .. } => "plan.op.spmm_csr",
-        Op::SpmmTopk { .. } => "plan.op.spmm_topk",
-    }
-}
 
 /// Resolves an operand source to a tensor reference. A free function (not a
 /// method) so the execute loop can borrow the arena immutably while the
@@ -74,69 +33,6 @@ fn resolve<'a>(
         Src::Slot(s) => &arena[*s],
         Src::Const(c) => &consts[*c],
         Src::Input => input,
-    }
-}
-
-/// Executes one instruction's kernel into `dst`. Every arm calls the same
-/// `_into` kernel the tape's allocating op delegates to, so the plan output
-/// is bitwise identical to the tape's.
-fn exec_instr(
-    instr: &Instr,
-    dst: &mut Tensor,
-    arena: &[Tensor],
-    consts: &[Tensor],
-    input: &Tensor,
-) {
-    let src = |i: usize| -> &Tensor { resolve(arena, consts, input, &instr.srcs[i]) };
-    match &instr.op {
-        Op::Leaf => unreachable!("leaves are classified at compile time"),
-        Op::Add => src(0).add_t_into(src(1), dst),
-        Op::Sub => src(0).sub_t_into(src(1), dst),
-        Op::Mul => src(0).mul_t_into(src(1), dst),
-        Op::Div => src(0).div_t_into(src(1), dst),
-        Op::Neg => src(0).map_into(|v| -v, dst),
-        Op::AddScalar(c) => src(0).add_scalar_into(*c, dst),
-        Op::MulScalar(c) => src(0).mul_scalar_into(*c, dst),
-        Op::MatMul => src(0).matmul_into(src(1), dst),
-        Op::MatMulNT => src(0).matmul_nt_into(src(1), dst),
-        Op::Bmm => src(0).bmm_into(src(1), dst),
-        Op::BmmNT => src(0).bmm_nt_into(src(1), dst),
-        Op::MatMulBroadcastLeft => src(0).matmul_broadcast_left_into(src(1), dst),
-        Op::MatMulBroadcastRight => src(0).matmul_broadcast_right_into(src(1), dst),
-        Op::Sigmoid => src(0).sigmoid_into(dst),
-        Op::Tanh => src(0).tanh_t_into(dst),
-        Op::Relu => src(0).relu_into(dst),
-        Op::Exp => src(0).exp_t_into(dst),
-        Op::Ln => src(0).ln_t_into(dst),
-        Op::Sqrt => src(0).sqrt_t_into(dst),
-        Op::Abs => src(0).abs_t_into(dst),
-        Op::Square => src(0).map_into(|x| x * x, dst),
-        Op::Softmax { axis } => src(0).softmax_into(*axis, dst),
-        Op::SumAll => dst.set_scalar(src(0).sum_all()),
-        Op::MeanAll => dst.set_scalar(src(0).mean_all()),
-        Op::SumAxis { axis } => src(0).sum_axis_into(*axis as isize, dst),
-        Op::MeanAxis { axis } => src(0).mean_axis_into(*axis as isize, dst),
-        Op::Reshape { .. } => src(0).reshape_into(&instr.out_shape, dst),
-        Op::Permute { perm } => src(0).permute_into(perm, dst),
-        Op::Concat { axis, .. } => {
-            Tensor::concat_into(
-                instr.srcs.iter().map(|s| resolve(arena, consts, input, s)),
-                *axis as isize,
-                dst,
-            );
-        }
-        Op::Slice { axis, start, .. } => {
-            let stop = start + instr.out_shape[*axis];
-            src(0).slice_axis_into(*axis as isize, *start, stop, dst);
-        }
-        Op::PadFront { axis, count } => {
-            src(0).pad_axis_front_into(*axis as isize, *count, 0.0, dst)
-        }
-        Op::BroadcastTo { .. } => src(0).broadcast_to_into(&instr.out_shape, dst),
-        Op::GatherDotNT { pattern } => sparse::topk_gather_dot_into(src(0), src(1), pattern, dst),
-        Op::MaskedSoftmax => sparse::masked_softmax_into(src(0), src(1), dst),
-        Op::SpmmCsr { csr, .. } => csr.spmm_into(src(0), dst),
-        Op::SpmmTopk { pattern } => sparse::topk_spmm_into(src(0), src(1), pattern, dst),
     }
 }
 
@@ -202,9 +98,10 @@ impl PlanExecutor {
             input
         };
         for instr in plan.instrs.iter() {
-            let _op_timer = (!*profiled).then(|| enhancenet_telemetry::span(op_label(&instr.op)));
+            let _op_timer = (!*profiled).then(|| enhancenet_telemetry::span(instr.op.label()));
             let mut dst = mem::take(&mut arena[instr.dst]);
-            exec_instr(instr, &mut dst, arena, &plan.consts, x);
+            let slots: &[Tensor] = arena;
+            instr.op.forward_into(|i| resolve(slots, &plan.consts, x, &instr.srcs[i]), &mut dst);
             arena[instr.dst] = dst;
         }
         *profiled = true;
@@ -216,3 +113,6 @@ impl PlanExecutor {
         }
     }
 }
+
+#[cfg(test)]
+mod tests;

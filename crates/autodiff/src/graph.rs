@@ -1,103 +1,13 @@
-//! The tape: node arena, operation tags, and the backward driver.
+//! The tape: node arena, op recording, and the backward driver.
 
+use crate::op::Op;
 use crate::params::{ParamId, ParamStore};
-use enhancenet_tensor::{CsrMatrix, Tensor, TopkPattern};
-use std::sync::Arc;
+use enhancenet_tensor::Tensor;
 
 /// Handle to a node in a [`Graph`]. Cheap to copy; only valid for the graph
 /// that produced it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Var(pub(crate) u32);
-
-/// Operation tag recorded on each node. Inputs are stored separately on the
-/// node; the tag carries only the attributes the backward pass needs.
-#[derive(Debug, Clone)]
-pub enum Op {
-    /// Leaf: external input or bound parameter.
-    Leaf,
-    /// Elementwise broadcast addition.
-    Add,
-    /// Elementwise broadcast subtraction.
-    Sub,
-    /// Elementwise broadcast multiplication.
-    Mul,
-    /// Elementwise broadcast division.
-    Div,
-    /// Elementwise negation.
-    Neg,
-    /// `x + c` for a constant scalar.
-    AddScalar(f32),
-    /// `x * c` for a constant scalar.
-    MulScalar(f32),
-    /// 2-D matrix multiply.
-    MatMul,
-    /// 2-D transpose-fused multiply `a · bᵀ` (`[m,k] x [n,k]`).
-    MatMulNT,
-    /// Batched 3-D matrix multiply.
-    Bmm,
-    /// Batched transpose-fused multiply `aᵦ · bᵦᵀ` (`[b,m,k] x [b,n,k]`).
-    BmmNT,
-    /// `[m,k] x [b,k,n]` with a shared left operand.
-    MatMulBroadcastLeft,
-    /// `[b,m,k] x [k,n]` with a shared right operand.
-    MatMulBroadcastRight,
-    /// Logistic sigmoid.
-    Sigmoid,
-    /// Hyperbolic tangent.
-    Tanh,
-    /// Rectified linear unit.
-    Relu,
-    /// Elementwise exponential.
-    Exp,
-    /// Elementwise natural log (input must be positive).
-    Ln,
-    /// Elementwise square root.
-    Sqrt,
-    /// Elementwise absolute value (subgradient 0 at 0).
-    Abs,
-    /// Elementwise square.
-    Square,
-    /// Softmax along an axis.
-    Softmax { axis: isize },
-    /// Sum of all elements to a scalar.
-    SumAll,
-    /// Mean of all elements to a scalar.
-    MeanAll,
-    /// Sum along one axis (axis removed).
-    SumAxis { axis: usize },
-    /// Mean along one axis (axis removed).
-    MeanAxis { axis: usize },
-    /// Shape reinterpretation.
-    Reshape { from: Vec<usize> },
-    /// Axis permutation.
-    Permute { perm: Vec<usize> },
-    /// Concatenation along an axis; `sizes` are the per-input axis lengths.
-    Concat { axis: usize, sizes: Vec<usize> },
-    /// Contiguous slice `[start, stop)` along an axis.
-    Slice { axis: usize, start: usize, input_len: usize },
-    /// Causal (front) zero padding along an axis.
-    PadFront { axis: usize, count: usize },
-    /// Broadcasts a tensor to a larger shape (used by repeat/expand).
-    BroadcastTo { from: Vec<usize> },
-    /// Pattern-restricted attention scores `⟨a[.., i, :], b[.., cols(i,j), :]⟩`
-    /// (rank-2 or batched rank-3 operands). The column pattern is
-    /// non-differentiable structure; only the retained dot products are
-    /// computed, so the score matrix never materializes densely.
-    GatherDotNT { pattern: Arc<TopkPattern> },
-    /// Renormalized softmax over the last axis restricted to entries whose
-    /// mask is > 0; masked entries are exactly 0 and fully masked slices
-    /// collapse to zeros (no dense uniform fallback). Inputs are
-    /// `(logits, mask)`; the mask receives no gradient.
-    MaskedSoftmax,
-    /// Dense-out product of a **constant** CSR matrix with a (possibly
-    /// batched) signal. `csr_t` is the precomputed transpose the backward
-    /// pass multiplies by; the matrix itself receives no gradient.
-    SpmmCsr { csr: Arc<CsrMatrix>, csr_t: Arc<CsrMatrix> },
-    /// Dense-out product of pattern values (`[rows,k]` or `[b,rows,k]`)
-    /// with a batched signal. Gradients scatter **only** into the retained
-    /// entries — dropped entries stay exactly zero through training.
-    SpmmTopk { pattern: Arc<TopkPattern> },
-}
 
 pub(crate) struct Node {
     pub value: Tensor,
@@ -141,6 +51,16 @@ impl Graph {
         assert!(id < u32::MAX, "graph node limit exceeded");
         self.nodes.push(Node { value, op, inputs, param: None });
         Var(id)
+    }
+
+    /// Records `op` over `inputs`: computes the node's value with the op's
+    /// one forward definition ([`Op::forward_into`]) into a fresh tensor
+    /// and appends the node. Every eager op method ends here.
+    pub(crate) fn apply(&mut self, op: Op, inputs: &[Var]) -> Var {
+        let mut value = Tensor::default();
+        let nodes = &self.nodes;
+        op.forward_into(|i| &nodes[inputs[i].0 as usize].value, &mut value);
+        self.push(value, op, inputs.to_vec())
     }
 
     /// Binds an external (non-trainable) tensor as a leaf.
@@ -219,14 +139,6 @@ impl Graph {
         }
         if enhancenet_telemetry::enabled() {
             enhancenet_telemetry::count("autodiff.backward.nodes_visited", visited);
-        }
-    }
-
-    pub(crate) fn accumulate(&mut self, v: Var, g: Tensor) {
-        let slot = &mut self.grads[v.0 as usize];
-        match slot {
-            Some(existing) => existing.add_assign_t(&g),
-            None => *slot = Some(g),
         }
     }
 

@@ -7,6 +7,11 @@
 //!
 //! * A [`Graph`] is an arena of nodes. Every operation appends a node holding
 //!   its forward value, the operation tag, and the indices of its inputs.
+//! * [`Op`] is the op table: each operation's forward kernel is defined once
+//!   there, and both the tape and the compiled-plan executor
+//!   ([`Plan`], [`PlanExecutor`]) compute through that one definition, so a
+//!   plan's output equals the tape's bit for bit. Backward rules are keyed
+//!   by the same [`Op`].
 //! * [`Var`] is a copyable handle (an index) into the graph.
 //! * Trainable parameters live outside the graph in a [`ParamStore`]; each
 //!   training step builds a fresh graph, binds parameter values as leaves
@@ -38,6 +43,7 @@ pub mod check;
 mod exec;
 mod gradbuf;
 mod graph;
+mod op;
 mod ops;
 mod params;
 mod plan;
@@ -45,7 +51,8 @@ mod serialize;
 
 pub use exec::PlanExecutor;
 pub use gradbuf::GradBuffer;
-pub use graph::{Graph, Op, Var};
+pub use graph::{Graph, Var};
+pub use op::Op;
 pub use params::{ParamId, ParamStore};
 pub use plan::{Plan, PlanCache, PlanError};
 pub use serialize::CheckpointError;

@@ -1,10 +1,13 @@
-//! Forward definitions of every differentiable operation.
+//! The eager op methods: the tape's public vocabulary.
 //!
-//! Each method computes the forward value eagerly with `enhancenet-tensor`
-//! and records an [`Op`](crate::Op) tag for the backward sweep.
+//! Each method only normalizes its arguments (negative axes, concat sizes)
+//! and records one node through `Graph::apply`, which computes the value
+//! with the op's single forward definition in [`Op`](crate::Op) — the same
+//! one the plan executor runs. No method here calls a tensor kernel.
 
-use crate::graph::{Graph, Op, Var};
-use enhancenet_tensor::{broadcast_shapes, sparse, CsrMatrix, Tensor, TopkPattern};
+use crate::graph::{Graph, Var};
+use crate::op::Op;
+use enhancenet_tensor::{normalize_axis, CsrMatrix, Tensor, TopkPattern};
 use std::sync::Arc;
 
 impl Graph {
@@ -12,102 +15,86 @@ impl Graph {
 
     /// Broadcast addition.
     pub fn add(&mut self, a: Var, b: Var) -> Var {
-        let v = self.value(a).add_t(self.value(b));
-        self.push(v, Op::Add, vec![a, b])
+        self.apply(Op::Add, &[a, b])
     }
 
     /// Broadcast subtraction.
     pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        let v = self.value(a).sub_t(self.value(b));
-        self.push(v, Op::Sub, vec![a, b])
+        self.apply(Op::Sub, &[a, b])
     }
 
     /// Broadcast elementwise multiplication (⊙ in the paper).
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
-        let v = self.value(a).mul_t(self.value(b));
-        self.push(v, Op::Mul, vec![a, b])
+        self.apply(Op::Mul, &[a, b])
     }
 
     /// Broadcast elementwise division.
     pub fn div(&mut self, a: Var, b: Var) -> Var {
-        let v = self.value(a).div_t(self.value(b));
-        self.push(v, Op::Div, vec![a, b])
+        self.apply(Op::Div, &[a, b])
     }
 
     // -------------------------------------------------------------- unary
 
     /// Elementwise negation.
     pub fn neg(&mut self, a: Var) -> Var {
-        let v = -self.value(a);
-        self.push(v, Op::Neg, vec![a])
+        self.apply(Op::Neg, &[a])
     }
 
     /// Adds a constant scalar.
     pub fn add_scalar(&mut self, a: Var, c: f32) -> Var {
-        let v = self.value(a).add_scalar(c);
-        self.push(v, Op::AddScalar(c), vec![a])
+        self.apply(Op::AddScalar(c), &[a])
     }
 
     /// Multiplies by a constant scalar.
     pub fn mul_scalar(&mut self, a: Var, c: f32) -> Var {
-        let v = self.value(a).mul_scalar(c);
-        self.push(v, Op::MulScalar(c), vec![a])
+        self.apply(Op::MulScalar(c), &[a])
     }
 
     /// Logistic sigmoid.
     pub fn sigmoid(&mut self, a: Var) -> Var {
-        let v = self.value(a).sigmoid();
-        self.push(v, Op::Sigmoid, vec![a])
+        self.apply(Op::Sigmoid, &[a])
     }
 
     /// Hyperbolic tangent.
     pub fn tanh(&mut self, a: Var) -> Var {
-        let v = self.value(a).tanh_t();
-        self.push(v, Op::Tanh, vec![a])
+        self.apply(Op::Tanh, &[a])
     }
 
     /// Rectified linear unit.
     pub fn relu(&mut self, a: Var) -> Var {
-        let v = self.value(a).relu();
-        self.push(v, Op::Relu, vec![a])
+        self.apply(Op::Relu, &[a])
     }
 
     /// Elementwise exponential.
     pub fn exp(&mut self, a: Var) -> Var {
-        let v = self.value(a).exp_t();
-        self.push(v, Op::Exp, vec![a])
+        self.apply(Op::Exp, &[a])
     }
 
     /// Elementwise natural log. The input must be strictly positive.
     pub fn ln(&mut self, a: Var) -> Var {
-        let v = self.value(a).ln_t();
-        self.push(v, Op::Ln, vec![a])
+        self.apply(Op::Ln, &[a])
     }
 
     /// Elementwise square root. The input must be non-negative.
     pub fn sqrt(&mut self, a: Var) -> Var {
-        let v = self.value(a).sqrt_t();
-        self.push(v, Op::Sqrt, vec![a])
+        self.apply(Op::Sqrt, &[a])
     }
 
     /// Elementwise absolute value (subgradient 0 at the kink).
     pub fn abs(&mut self, a: Var) -> Var {
-        let v = self.value(a).abs_t();
-        self.push(v, Op::Abs, vec![a])
+        self.apply(Op::Abs, &[a])
     }
 
     /// Elementwise square (cheaper than `mul(a, a)` — one node).
     pub fn square(&mut self, a: Var) -> Var {
-        let v = self.value(a).map(|x| x * x);
-        self.push(v, Op::Square, vec![a])
+        self.apply(Op::Square, &[a])
     }
 
     // ------------------------------------------------------------- matmul
 
     /// 2-D matrix multiply.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
-        let v = self.value(a).matmul(self.value(b));
-        self.push(v, Op::MatMul, vec![a, b])
+        self.apply(Op::MatMul, &[a, b])
     }
 
     /// Transpose-fused 2-D multiply `a · bᵀ` for `b` stored `[n,k]`.
@@ -117,14 +104,12 @@ impl Graph {
     /// similarity matrices): one node, no materialized transpose, and the
     /// backward rule is likewise transpose-free.
     pub fn matmul_nt(&mut self, a: Var, b: Var) -> Var {
-        let v = self.value(a).matmul_nt(self.value(b));
-        self.push(v, Op::MatMulNT, vec![a, b])
+        self.apply(Op::MatMulNT, &[a, b])
     }
 
     /// Batched 3-D matrix multiply `[b,m,k] x [b,k,n]`.
     pub fn bmm(&mut self, a: Var, b: Var) -> Var {
-        let v = self.value(a).bmm(self.value(b));
-        self.push(v, Op::Bmm, vec![a, b])
+        self.apply(Op::Bmm, &[a, b])
     }
 
     /// Batched transpose-fused multiply `aᵦ · bᵦᵀ` for `b` stored `[b,n,k]`.
@@ -133,14 +118,12 @@ impl Graph {
     /// `transpose_batched` + `bmm` (the dynamic-attention score pattern)
     /// with a single fused node.
     pub fn bmm_nt(&mut self, a: Var, b: Var) -> Var {
-        let v = self.value(a).bmm_nt(self.value(b));
-        self.push(v, Op::BmmNT, vec![a, b])
+        self.apply(Op::BmmNT, &[a, b])
     }
 
     /// `[m,k] x [b,k,n] -> [b,m,n]` (shared adjacency × batched signal).
     pub fn matmul_broadcast_left(&mut self, a: Var, b: Var) -> Var {
-        let v = self.value(a).matmul_broadcast_left(self.value(b));
-        self.push(v, Op::MatMulBroadcastLeft, vec![a, b])
+        self.apply(Op::MatMulBroadcastLeft, &[a, b])
     }
 
     /// `[..., k] x [k,n] -> [..., n]` (signal of any rank × shared filter).
@@ -148,16 +131,14 @@ impl Graph {
     /// Leading axes fold into one GEMM inside the kernel; no reshape nodes
     /// or data copies are needed on either the forward or backward pass.
     pub fn matmul_broadcast_right(&mut self, a: Var, b: Var) -> Var {
-        let v = self.value(a).matmul_broadcast_right(self.value(b));
-        self.push(v, Op::MatMulBroadcastRight, vec![a, b])
+        self.apply(Op::MatMulBroadcastRight, &[a, b])
     }
 
     // ------------------------------------------------------------ softmax
 
     /// Softmax along `axis`.
     pub fn softmax(&mut self, a: Var, axis: isize) -> Var {
-        let v = self.value(a).softmax(axis);
-        self.push(v, Op::Softmax { axis }, vec![a])
+        self.apply(Op::Softmax { axis }, &[a])
     }
 
     /// Masked, renormalized softmax over the last axis: entries with
@@ -166,9 +147,7 @@ impl Graph {
     /// (callers add an explicit fallback such as a self-loop). The mask
     /// receives no gradient.
     pub fn masked_softmax(&mut self, logits: Var, mask: Var) -> Var {
-        let mut v = Tensor::default();
-        sparse::masked_softmax_into(self.value(logits), self.value(mask), &mut v);
-        self.push(v, Op::MaskedSoftmax, vec![logits, mask])
+        self.apply(Op::MaskedSoftmax, &[logits, mask])
     }
 
     // ------------------------------------------------------------- sparse
@@ -180,9 +159,7 @@ impl Graph {
     /// Only the retained dot products are computed — the dense `rows × cols`
     /// score matrix never materializes.
     pub fn gather_dot_nt(&mut self, a: Var, b: Var, pattern: Arc<TopkPattern>) -> Var {
-        let mut v = Tensor::default();
-        sparse::topk_gather_dot_into(self.value(a), self.value(b), &pattern, &mut v);
-        self.push(v, Op::GatherDotNT { pattern }, vec![a, b])
+        self.apply(Op::GatherDotNT { pattern }, &[a, b])
     }
 
     /// Dense-out product of a **constant** CSR matrix with a (possibly
@@ -196,8 +173,7 @@ impl Graph {
             (csr_t.cols(), csr_t.rows(), csr_t.nnz()),
             "spmm_csr: csr_t is not the transpose of csr"
         );
-        let v = csr.spmm(self.value(x));
-        self.push(v, Op::SpmmCsr { csr, csr_t }, vec![x])
+        self.apply(Op::SpmmCsr { csr, csr_t }, &[x])
     }
 
     /// Dense-out product of top-k pattern values with a signal:
@@ -205,54 +181,43 @@ impl Graph {
     /// `[rows, k]` (broadcast over a batched signal) or `[batch, rows, k]`.
     /// Gradients scatter **only** into the retained entries.
     pub fn spmm_topk(&mut self, vals: Var, x: Var, pattern: Arc<TopkPattern>) -> Var {
-        let mut v = Tensor::default();
-        sparse::topk_spmm_into(self.value(vals), self.value(x), &pattern, &mut v);
-        self.push(v, Op::SpmmTopk { pattern }, vec![vals, x])
+        self.apply(Op::SpmmTopk { pattern }, &[vals, x])
     }
 
     // --------------------------------------------------------- reductions
 
     /// Sum of all elements to a rank-0 scalar.
     pub fn sum_all(&mut self, a: Var) -> Var {
-        let v = Tensor::scalar(self.value(a).sum_all());
-        self.push(v, Op::SumAll, vec![a])
+        self.apply(Op::SumAll, &[a])
     }
 
     /// Mean of all elements to a rank-0 scalar.
     pub fn mean_all(&mut self, a: Var) -> Var {
-        let v = Tensor::scalar(self.value(a).mean_all());
-        self.push(v, Op::MeanAll, vec![a])
+        self.apply(Op::MeanAll, &[a])
     }
 
     /// Sum along one axis (negative axes allowed), removing it.
     pub fn sum_axis(&mut self, a: Var, axis: isize) -> Var {
-        let rank = self.value(a).rank() as isize;
-        let ax = if axis < 0 { (axis + rank) as usize } else { axis as usize };
-        let v = self.value(a).sum_axis(axis);
-        self.push(v, Op::SumAxis { axis: ax }, vec![a])
+        let axis = normalize_axis(axis, self.value(a).rank());
+        self.apply(Op::SumAxis { axis }, &[a])
     }
 
     /// Mean along one axis, removing it.
     pub fn mean_axis(&mut self, a: Var, axis: isize) -> Var {
-        let rank = self.value(a).rank() as isize;
-        let ax = if axis < 0 { (axis + rank) as usize } else { axis as usize };
-        let v = self.value(a).mean_axis(axis);
-        self.push(v, Op::MeanAxis { axis: ax }, vec![a])
+        let axis = normalize_axis(axis, self.value(a).rank());
+        self.apply(Op::MeanAxis { axis }, &[a])
     }
 
     // -------------------------------------------------------------- shape
 
     /// Reshape (element count preserved; `usize::MAX` infers one axis).
     pub fn reshape(&mut self, a: Var, shape: &[usize]) -> Var {
-        let from = self.value(a).shape().to_vec();
-        let v = self.value(a).reshape(shape);
-        self.push(v, Op::Reshape { from }, vec![a])
+        self.apply(Op::Reshape { shape: shape.to_vec() }, &[a])
     }
 
     /// Axis permutation.
     pub fn permute(&mut self, a: Var, perm: &[usize]) -> Var {
-        let v = self.value(a).permute(perm);
-        self.push(v, Op::Permute { perm: perm.to_vec() }, vec![a])
+        self.apply(Op::Permute { perm: perm.to_vec() }, &[a])
     }
 
     /// 2-D transpose (sugar over permute).
@@ -268,12 +233,9 @@ impl Graph {
     /// Concatenates along `axis` (negative allowed).
     pub fn concat(&mut self, parts: &[Var], axis: isize) -> Var {
         assert!(!parts.is_empty(), "concat of zero vars");
-        let rank = self.value(parts[0]).rank() as isize;
-        let ax = if axis < 0 { (axis + rank) as usize } else { axis as usize };
-        let tensors: Vec<&Tensor> = parts.iter().map(|&p| self.value(p)).collect();
-        let sizes: Vec<usize> = tensors.iter().map(|t| t.shape()[ax]).collect();
-        let v = Tensor::concat(&tensors, axis);
-        self.push(v, Op::Concat { axis: ax, sizes }, parts.to_vec())
+        let axis = normalize_axis(axis, self.value(parts[0]).rank());
+        let sizes = parts.iter().map(|&p| self.value(p).shape()[axis]).collect();
+        self.apply(Op::Concat { axis, sizes }, parts)
     }
 
     /// Stacks same-shaped values along a new leading axis.
@@ -292,38 +254,27 @@ impl Graph {
 
     /// Contiguous slice `[start, stop)` along `axis` (negative allowed).
     pub fn slice_axis(&mut self, a: Var, axis: isize, start: usize, stop: usize) -> Var {
-        let rank = self.value(a).rank() as isize;
-        let ax = if axis < 0 { (axis + rank) as usize } else { axis as usize };
-        let input_len = self.value(a).shape()[ax];
-        let v = self.value(a).slice_axis(axis, start, stop);
-        self.push(v, Op::Slice { axis: ax, start, input_len }, vec![a])
+        let axis = normalize_axis(axis, self.value(a).rank());
+        self.apply(Op::Slice { axis, start, stop }, &[a])
     }
 
     /// Selects one index along `axis`, removing the axis.
     pub fn index_axis(&mut self, a: Var, axis: isize, index: usize) -> Var {
         let sliced = self.slice_axis(a, axis, index, index + 1);
         let mut shape = self.value(sliced).shape().to_vec();
-        let rank = shape.len() as isize;
-        let ax = if axis < 0 { (axis + rank) as usize } else { axis as usize };
-        shape.remove(ax);
+        shape.remove(normalize_axis(axis, shape.len()));
         self.reshape(sliced, &shape)
     }
 
     /// Front zero-padding along `axis` (causal padding).
     pub fn pad_front(&mut self, a: Var, axis: isize, count: usize) -> Var {
-        let rank = self.value(a).rank() as isize;
-        let ax = if axis < 0 { (axis + rank) as usize } else { axis as usize };
-        let v = self.value(a).pad_axis_front(axis, count, 0.0);
-        self.push(v, Op::PadFront { axis: ax, count }, vec![a])
+        let axis = normalize_axis(axis, self.value(a).rank());
+        self.apply(Op::PadFront { axis, count }, &[a])
     }
 
     /// Broadcasts `a` up to `shape` (which must be broadcast-compatible).
     pub fn broadcast_to(&mut self, a: Var, shape: &[usize]) -> Var {
-        let from = self.value(a).shape().to_vec();
-        let target = broadcast_shapes(&from, shape);
-        assert_eq!(target, shape, "cannot broadcast {from:?} to {shape:?}");
-        let v = self.value(a).broadcast_to(shape);
-        self.push(v, Op::BroadcastTo { from }, vec![a])
+        self.apply(Op::BroadcastTo { shape: shape.to_vec() }, &[a])
     }
 
     // ----------------------------------------------------------- composed

@@ -4,9 +4,10 @@
 //! into a flat, topologically-ordered instruction list with static shapes
 //! and a liveness-analyzed arena layout. The compiled plan is executed by
 //! [`PlanExecutor`](crate::PlanExecutor) against preallocated buffers — no
-//! tape, no per-node `Vec` growth, no output clone — while running the exact
-//! same tensor kernels as the tape (every kernel's `_into` form), so plan
-//! and tape outputs are bitwise identical.
+//! tape, no per-node `Vec` growth, no output clone — while running each op's
+//! one forward definition ([`Op`]'s `forward_into`, the call the tape made
+//! when it recorded the node), so plan and tape outputs are bitwise
+//! identical.
 //!
 //! # Folding
 //!
@@ -32,13 +33,13 @@
 //! input) are remembered via the `unplannable` flag so the serving path
 //! does not re-trace on every request just to fail again.
 
-use crate::graph::{Graph, Op, Var};
+use crate::exec::PlanExecutor;
+use crate::graph::{Graph, Var};
+use crate::op::Op;
 use crate::params::ParamStore;
 use enhancenet_tensor::Tensor;
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-
-use crate::exec::{op_label, PlanExecutor};
 
 /// Where an instruction operand comes from at execution time.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,7 +53,8 @@ pub(crate) enum Src {
 }
 
 /// One compiled operation: the tape [`Op`] tag, operand sources, the arena
-/// slot receiving the result, and the statically-known output shape.
+/// slot receiving the result, and the statically-known output shape (used
+/// to size the slot; the op itself carries everything its kernel reads).
 #[derive(Debug, Clone)]
 pub(crate) struct Instr {
     pub(crate) op: Op,
@@ -287,7 +289,7 @@ impl Plan {
     /// The op of every instruction, in execution order, with its output
     /// shape: what a compile produced, independent of slot numbering.
     pub fn op_shapes(&self) -> Vec<(&'static str, &[usize])> {
-        self.instrs.iter().map(|i| (op_label(&i.op), i.out_shape.as_slice())).collect()
+        self.instrs.iter().map(|i| (i.op.label(), i.out_shape.as_slice())).collect()
     }
 }
 

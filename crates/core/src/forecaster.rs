@@ -227,7 +227,10 @@ pub trait Forecaster: Send + Sync {
     /// `Err` means this model's trace cannot be compiled (no
     /// [`Graph::input`]-marked leaf, unsupported op); callers answer on the
     /// tape instead, with identical results ([`Forecaster::predict_into`]
-    /// and the serving fleet's tape arm both do).
+    /// and the serving fleet's tape arm both do). The returned tensor is the
+    /// real traced prediction on `Err` too: both callers answer the
+    /// triggering request from it, so an override must never return a
+    /// placeholder.
     fn compile_eval_plan(&self, batched: &Tensor) -> (Result<Plan, PlanError>, Tensor) {
         self.compile_eval_plan_on(self.store(), batched)
     }

@@ -554,7 +554,9 @@ fn fleet_worker_loop(ctx: WorkerCtx) {
 
 /// Executes one batched forward for a fleet worker: look up the plan for
 /// this batch shape, or compile it against the snapshot store, and run it;
-/// a shape that does not compile runs on the tape over the same store.
+/// a shape that does not compile runs on the tape over the same store. The
+/// batch that finds its shape uncompilable is answered from the compile
+/// request's traced prediction, so no batch pays two forwards.
 fn run_on_snapshot(
     model: &dyn Forecaster,
     snapshot: &Snapshot,
@@ -573,8 +575,14 @@ fn run_on_snapshot(
         }
         Entry::Vacant(entry) => {
             enhancenet_telemetry::count("plan.cache.misses", 1);
-            let (compiled, _traced) = model.compile_eval_plan_on(&snapshot.store, x);
-            entry.insert(compiled.ok().map(PlanExecutor::new))
+            let (compiled, traced) = model.compile_eval_plan_on(&snapshot.store, x);
+            let Ok(plan) = compiled else {
+                entry.insert(None);
+                enhancenet_telemetry::count("plan.fallback", 1);
+                out.copy_from(&traced);
+                return;
+            };
+            entry.insert(Some(PlanExecutor::new(plan)))
         }
     };
     match exec {

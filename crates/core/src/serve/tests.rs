@@ -7,6 +7,8 @@ use crate::forecaster::{Forecaster, ForwardCtx};
 use enhancenet_autodiff::{Graph, ParamStore, Plan, PlanError, Var};
 use enhancenet_data::StandardScaler;
 use enhancenet_tensor::{Tensor, TensorRng};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const H: usize = 5;
@@ -126,7 +128,8 @@ fn slo_report_tracks_outcomes() {
 
 /// A model that sleeps in `forward`, simulating an overloaded backend. It
 /// refuses compilation, so the fleet serves every batch on the tape arm
-/// and every batch pays the sleep.
+/// and every batch pays the sleep; its refusal still traces (and sleeps),
+/// returning the real prediction as the compile contract requires.
 struct SlowModel {
     inner: AffinePersistence,
     sleep: Duration,
@@ -160,10 +163,11 @@ impl Forecaster for SlowModel {
     }
     fn compile_eval_plan_on(
         &self,
-        _store: &ParamStore,
-        _batched: &Tensor,
+        store: &ParamStore,
+        batched: &Tensor,
     ) -> (Result<Plan, PlanError>, Tensor) {
-        (Err(PlanError::NoInput), Tensor::default())
+        std::thread::sleep(self.sleep);
+        (Err(PlanError::NoInput), self.inner.compile_eval_plan_on(store, batched).1)
     }
 }
 
@@ -252,7 +256,9 @@ fn wait_deadline_includes_queue_time() {
 }
 
 /// A model whose forward panics, simulating a poisoned worker. It refuses
-/// compilation, so every batch reaches the panicking tape forward.
+/// compilation without tracing (a trace would panic at spawn), so its
+/// traced value is a placeholder; the single-window batches below all hit
+/// the spawn probe's cached refusal and reach the panicking tape forward.
 struct PanickyModel {
     inner: AffinePersistence,
 }
@@ -534,7 +540,7 @@ fn fleet_hot_swap_changes_forecasts_at_next_batch() {
     let mut trained = AffinePersistence::new(F).with_input_shape(H, N, C);
     for id in trained.store().ids().collect::<Vec<_>>() {
         let v = trained.store().value(id).clone();
-        trained.store_mut().value_mut(id).copy_from(&v.mul_scalar(3.0).add_scalar(0.25));
+        trained.store_mut().value_mut(id).copy_from(&v.map(|x| x * 3.0 + 0.25));
     }
     let publisher = svc.publisher();
     assert_eq!(publisher.epoch(), 0);
@@ -611,6 +617,65 @@ impl Forecaster for TapeOnly {
     }
 }
 
+/// An unplannable host that counts its forward passes.
+struct CountingTapeOnly {
+    inner: TapeOnly,
+    forwards: Arc<AtomicUsize>,
+}
+
+impl Forecaster for CountingTapeOnly {
+    fn name(&self) -> &str {
+        "counting-tape-only"
+    }
+    fn store(&self) -> &ParamStore {
+        self.inner.store()
+    }
+    fn store_mut(&mut self) -> &mut ParamStore {
+        self.inner.store_mut()
+    }
+    fn horizon(&self) -> usize {
+        self.inner.horizon()
+    }
+    fn input_shape(&self) -> Option<[usize; 3]> {
+        self.inner.input_shape()
+    }
+    fn forward_on(
+        &self,
+        g: &mut Graph,
+        store: &ParamStore,
+        x: &Tensor,
+        ctx: &mut ForwardCtx,
+    ) -> Var {
+        self.forwards.fetch_add(1, Ordering::SeqCst);
+        self.inner.forward_on(g, store, x, ctx)
+    }
+}
+
+#[test]
+fn unplannable_model_runs_one_forward_per_batch() {
+    let tape_only = || TapeOnly { inner: AffinePersistence::new(F).with_input_shape(H, N, C) };
+    let forwards = Arc::new(AtomicUsize::new(0));
+    let model = CountingTapeOnly { inner: tape_only(), forwards: Arc::clone(&forwards) };
+    let svc = ServeConfig::builder().spawn_fleet(Box::new(model), scaler()).unwrap();
+    let stream = svc.tenant("stream");
+    feed(&stream, H, 40.0);
+    // Epoch 0 starts from the spawn probe's cached refusal; a publish
+    // clears it, so epoch 1's first batch compiles, fails, and must be
+    // answered from that trace rather than a second forward.
+    for epoch in 0..2 {
+        if epoch == 1 {
+            assert_eq!(svc.publisher().publish(tape_only().store()).unwrap(), 1);
+        }
+        for request in 0..3 {
+            let before = forwards.load(Ordering::SeqCst);
+            assert!(!stream.forecast().unwrap().is_degraded());
+            let ran = forwards.load(Ordering::SeqCst) - before;
+            assert_eq!(ran, 1, "epoch {epoch} request {request} ran {ran} forwards");
+        }
+    }
+    svc.shutdown(ShutdownMode::Drain);
+}
+
 #[test]
 fn unplannable_model_serves_on_the_tape_and_sees_hot_swaps() {
     let tape_only = || TapeOnly { inner: AffinePersistence::new(F).with_input_shape(H, N, C) };
@@ -627,7 +692,7 @@ fn unplannable_model_serves_on_the_tape_and_sees_hot_swaps() {
     let mut trained = tape_only();
     for id in trained.store().ids().collect::<Vec<_>>() {
         let v = trained.store().value(id).clone();
-        trained.store_mut().value_mut(id).copy_from(&v.mul_scalar(3.0).add_scalar(0.25));
+        trained.store_mut().value_mut(id).copy_from(&v.map(|x| x * 3.0 + 0.25));
     }
     assert_eq!(svc.publisher().publish(trained.store()).unwrap(), 1);
     let after = stream.forecast().unwrap();

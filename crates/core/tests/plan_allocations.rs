@@ -5,30 +5,12 @@
 //! the libtest harness (`harness = false`), so the counting allocator sees
 //! no interference from harness threads or sibling tests.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use enhancenet::{Forecaster, ForwardCtx};
 use enhancenet_autodiff::{Graph, ParamId, ParamStore, PlanCache, Var};
 use enhancenet_tensor::{Tensor, TensorRng};
 
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
 const H: usize = 6;
 const N: usize = 8;
@@ -114,11 +96,11 @@ fn warm_predict_into_is_allocation_free() {
         model.predict_into(&window, &mut out).expect("re-warm predict");
     }
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = counting_alloc::allocations();
     for _ in 0..100 {
         model.predict_into(&window, &mut out).expect("warm predict");
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = counting_alloc::allocations();
     assert_eq!(
         after - before,
         0,
@@ -144,12 +126,12 @@ fn warm_serve_batch_path_is_allocation_free() {
     }
     assert_eq!(pred.shape(), &[4, F, N]);
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = counting_alloc::allocations();
     for _ in 0..100 {
         Tensor::stack_into(windows.iter(), &mut batch_x);
         model.predict_into(&batch_x, &mut pred).expect("warm batch predict");
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = counting_alloc::allocations();
     assert_eq!(
         after - before,
         0,

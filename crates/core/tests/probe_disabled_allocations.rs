@@ -10,26 +10,9 @@ use enhancenet_autodiff::{Graph, ParamStore, Var};
 use enhancenet_data::traffic::{generate_traffic, TrafficConfig};
 use enhancenet_data::WindowDataset;
 use enhancenet_tensor::Tensor;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
 /// Minimal forecaster with no plugins: exercises the default `damgn()` /
 /// `memory_id()` trait paths the probes must tolerate.
@@ -75,14 +58,14 @@ fn disabled_probes_are_allocation_free() {
     let truth = Tensor::from_vec(vec![2.0; 2 * 12 * 4], &[2, 12, 4]);
     let cfg = ProbeConfig::default();
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = counting_alloc::allocations();
     for epoch in 0..1_000 {
         probes::record_error_attribution(&cfg, &pred, &truth);
         probes::record_graph_diagnostics(&cfg, epoch, &model, &data);
         let drift = MemoryDriftProbe::start(&cfg, &model);
         drift.record(epoch, &model);
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = counting_alloc::allocations();
 
     assert_eq!(
         after - before,

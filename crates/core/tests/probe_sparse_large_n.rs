@@ -10,26 +10,9 @@ use enhancenet::{Damgn, DamgnConfig, Forecaster, ForwardCtx};
 use enhancenet_autodiff::{Graph, ParamStore, Var};
 use enhancenet_data::WindowDataset;
 use enhancenet_tensor::{Tensor, TensorRng};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-struct CountingAllocator;
-
-static BYTES: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
 /// Minimal forecaster that carries a top-k DAMGN — only what the graph
 /// diagnostics probe touches.
@@ -87,9 +70,9 @@ fn topk_probe_is_allocation_bounded_at_ten_thousand_entities() {
 
     enhancenet_telemetry::reset();
     enhancenet_telemetry::set_enabled(true);
-    let before = BYTES.load(Ordering::Relaxed);
+    let before = counting_alloc::allocated_bytes();
     probes::record_graph_diagnostics(&ProbeConfig::default(), 0, &model, &data);
-    let after = BYTES.load(Ordering::Relaxed);
+    let after = counting_alloc::allocated_bytes();
     enhancenet_telemetry::set_enabled(false);
 
     assert_eq!(enhancenet_telemetry::event_count("probe.damgn"), 1);

@@ -12,31 +12,14 @@
 
 use enhancenet_autodiff::{GradBuffer, ParamStore};
 use enhancenet_tensor::Tensor;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
 fn disabled_shard_telemetry_is_allocation_free() {
     enhancenet_telemetry::set_enabled(false);
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = counting_alloc::allocations();
     for _ in 0..1_000 {
         // The exact instrumentation the shard engine emits per batch.
         enhancenet_telemetry::count("trainer.shard.batches", 1);
@@ -45,7 +28,7 @@ fn disabled_shard_telemetry_is_allocation_free() {
         let _worker = enhancenet_telemetry::span("trainer.shard.worker");
         let _reduce = enhancenet_telemetry::span("trainer.shard.reduce");
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = counting_alloc::allocations();
 
     assert_eq!(
         after - before,
@@ -81,7 +64,7 @@ fn gradient_reduction_reuses_buffers_in_steady_state() {
     window.reset();
     store.zero_grad();
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = counting_alloc::allocations();
     for _ in 0..1_000 {
         window.accumulate(a, &ga);
         window.accumulate(b, &gb);
@@ -91,7 +74,7 @@ fn gradient_reduction_reuses_buffers_in_steady_state() {
         window.reset();
         store.zero_grad();
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = counting_alloc::allocations();
 
     assert_eq!(
         after - before,

@@ -34,7 +34,7 @@ proptest! {
 
     #[test]
     fn mae_is_translation_detectable((_, t) in series(16), shift in 0.5f32..5.0) {
-        let shifted = t.add_scalar(shift);
+        let shifted = t.map(|v| v + shift);
         prop_assert!((mae(&shifted, &t) - shift).abs() < 1e-4);
     }
 

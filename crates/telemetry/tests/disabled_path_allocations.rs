@@ -5,26 +5,8 @@
 //! the counting allocator sees no interference from harness threads or
 //! sibling tests.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
 fn disabled_fast_path_is_allocation_free() {
     enhancenet_telemetry::set_enabled(false);
@@ -32,14 +14,14 @@ fn disabled_fast_path_is_allocation_free() {
     // outside the measured window so record_event itself is what we count.
     let payload = serde_json::json!({"epoch": 1, "loss": 0.5});
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = counting_alloc::allocations();
     for _ in 0..10_000 {
         let _span = enhancenet_telemetry::span("alloc.test.span");
         enhancenet_telemetry::count("alloc.test.counter", 3);
         enhancenet_telemetry::observe("alloc.test.histogram", 42.0);
         enhancenet_telemetry::record_event("alloc.test.event", &payload);
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = counting_alloc::allocations();
 
     assert_eq!(
         after - before,
@@ -64,13 +46,13 @@ fn disabled_span_and_histogram_paths_are_allocation_free() {
     enhancenet_telemetry::reset();
     enhancenet_telemetry::set_enabled(false);
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = counting_alloc::allocations();
     for i in 0..10_000u64 {
         let _outer = enhancenet_telemetry::span("alloc.span.outer");
         let _inner = enhancenet_telemetry::span("alloc.span.inner");
         enhancenet_telemetry::observe("alloc.hist", i as f64);
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = counting_alloc::allocations();
 
     assert_eq!(
         after - before,
@@ -90,14 +72,14 @@ fn disabled_gauge_snapshot_and_slo_paths_are_allocation_free() {
     let mut slo =
         enhancenet_telemetry::SloWindow::new(std::time::Duration::from_secs(60), 12, 0.99);
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = counting_alloc::allocations();
     for i in 0..10_000u64 {
         enhancenet_telemetry::gauge("alloc.gauge", i as f64);
         slo.record(i as f64, i % 100 != 0, i % 50 == 0);
     }
     let report = slo.report();
     let snap = enhancenet_telemetry::snapshot();
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = counting_alloc::allocations();
 
     assert_eq!(
         after - before,

@@ -51,7 +51,7 @@ mod tensor;
 pub use init::TensorRng;
 pub use kernel::MicroKernel;
 pub use scratch::with_scratch;
-pub use shape::{broadcast_shapes, Shape};
+pub use shape::{broadcast_shapes, normalize_axis, Shape};
 pub use sparse::{CsrMatrix, TopkPattern};
 pub use tensor::Tensor;
 

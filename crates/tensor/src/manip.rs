@@ -1,5 +1,7 @@
 //! Shape manipulation: reshape, transpose, permute, concat, slice, stack,
-//! padding, and axis selection. All operations materialize a new tensor.
+//! padding, broadcasting, and axis selection. Every kernel the autodiff op
+//! table runs has an `_into` form writing a reused buffer; an allocating
+//! wrapper, where one remains, delegates to that form.
 
 use crate::shape::{broadcast_strides_array, normalize_axis, Shape, MAX_RANK};
 use crate::strided;
@@ -10,25 +12,9 @@ impl Tensor {
     ///
     /// One axis may be `usize::MAX` to mean "infer this dimension".
     pub fn reshape(&self, shape: &[usize]) -> Tensor {
-        let mut dims = shape.to_vec();
-        if let Some(pos) = dims.iter().position(|&d| d == usize::MAX) {
-            let known: usize = dims.iter().filter(|&&d| d != usize::MAX).product();
-            assert!(
-                known > 0 && self.numel() % known == 0,
-                "cannot infer axis: numel {} not divisible by {:?}",
-                self.numel(),
-                shape
-            );
-            dims[pos] = self.numel() / known;
-        }
-        assert_eq!(
-            Shape::numel(&dims),
-            self.numel(),
-            "reshape {:?} -> {:?} changes element count",
-            self.shape,
-            shape
-        );
-        Tensor { shape: dims, data: self.data.clone() }
+        let mut out = Tensor::default();
+        self.reshape_into(shape, &mut out);
+        out
     }
 
     /// [`Tensor::reshape`] into `out` (buffers reused, allocation-free when
@@ -246,15 +232,8 @@ impl Tensor {
         Tensor { shape, data: self.data.clone() }
     }
 
-    /// Left-pads `axis` with `count` copies of `value` (causal padding for
-    /// dilated convolutions).
-    pub fn pad_axis_front(&self, axis: isize, count: usize, value: f32) -> Tensor {
-        let mut out = Tensor::default();
-        self.pad_axis_front_into(axis, count, value, &mut out);
-        out
-    }
-
-    /// [`Tensor::pad_axis_front`] into `out` (buffers reused).
+    /// Left-pads `axis` with `count` copies of `value` into `out` (causal
+    /// padding for dilated convolutions; buffers reused).
     pub fn pad_axis_front_into(&self, axis: isize, count: usize, value: f32, out: &mut Tensor) {
         let ax = normalize_axis(axis, self.rank());
         let rank = self.rank();
@@ -273,17 +252,10 @@ impl Tensor {
         }
     }
 
-    /// Materializes the NumPy-style broadcast of `self` to `shape` — a pure
-    /// gather (no arithmetic), so `-0.0`, NaN payloads, and infinities are
-    /// preserved exactly. This is the forward kernel behind the autodiff
-    /// `BroadcastTo` op on both the tape and the compiled-plan executor.
-    pub fn broadcast_to(&self, shape: &[usize]) -> Tensor {
-        let mut out = Tensor::default();
-        self.broadcast_to_into(shape, &mut out);
-        out
-    }
-
-    /// [`Tensor::broadcast_to`] into `out` (buffers reused).
+    /// Materializes the NumPy-style broadcast of `self` to `shape` into
+    /// `out` (buffers reused) — a pure gather (no arithmetic), so `-0.0`,
+    /// NaN payloads, and infinities are preserved exactly. This is the
+    /// forward kernel of the autodiff `BroadcastTo` op.
     ///
     /// # Panics
     ///
@@ -450,14 +422,16 @@ mod tests {
     #[test]
     fn pad_axis_front_causal() {
         let t = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[3]);
-        let p = t.pad_axis_front(0, 2, 0.0);
+        let mut p = Tensor::default();
+        t.pad_axis_front_into(0, 2, 0.0, &mut p);
         assert_eq!(p.data(), &[0.0, 0.0, 1.0, 2.0, 3.0]);
     }
 
     #[test]
     fn pad_axis_front_inner_axis() {
         let t = Tensor::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-        let p = t.pad_axis_front(1, 1, 9.0);
+        let mut p = Tensor::default();
+        t.pad_axis_front_into(1, 1, 9.0, &mut p);
         assert_eq!(p.shape(), &[2, 3]);
         assert_eq!(p.data(), &[9.0, 1.0, 2.0, 9.0, 3.0, 4.0]);
     }

@@ -92,11 +92,6 @@ impl Tensor {
         self.broadcast_with_into(other, |a, b| a / b, out)
     }
 
-    /// Adds `s` to every element.
-    pub fn add_scalar(&self, s: f32) -> Tensor {
-        self.map(|v| v + s)
-    }
-
     /// Adds `s` to every element, into `out`.
     pub fn add_scalar_into(&self, s: f32, out: &mut Tensor) {
         self.map_into(|v| v + s, out)
@@ -146,52 +141,27 @@ impl Tensor {
         self.map_into(sigmoid_scalar, out)
     }
 
-    /// Hyperbolic tangent.
-    pub fn tanh_t(&self) -> Tensor {
-        self.map(f32::tanh)
-    }
-
     /// Hyperbolic tangent into `out`.
     pub fn tanh_t_into(&self, out: &mut Tensor) {
         self.map_into(f32::tanh, out)
     }
 
-    /// Rectified linear unit `max(x, 0)`.
-    pub fn relu(&self) -> Tensor {
-        self.map(|v| v.max(0.0))
-    }
-
-    /// ReLU into `out`.
+    /// Rectified linear unit `max(x, 0)` into `out`.
     pub fn relu_into(&self, out: &mut Tensor) {
         self.map_into(|v| v.max(0.0), out)
     }
 
-    /// Elementwise exponential.
-    pub fn exp_t(&self) -> Tensor {
-        self.map(f32::exp)
-    }
-
-    /// Exponential into `out`.
+    /// Elementwise exponential into `out`.
     pub fn exp_t_into(&self, out: &mut Tensor) {
         self.map_into(f32::exp, out)
     }
 
-    /// Elementwise natural log.
-    pub fn ln_t(&self) -> Tensor {
-        self.map(f32::ln)
-    }
-
-    /// Natural log into `out`.
+    /// Elementwise natural log into `out`.
     pub fn ln_t_into(&self, out: &mut Tensor) {
         self.map_into(f32::ln, out)
     }
 
-    /// Elementwise square root.
-    pub fn sqrt_t(&self) -> Tensor {
-        self.map(f32::sqrt)
-    }
-
-    /// Square root into `out`.
+    /// Elementwise square root into `out`.
     pub fn sqrt_t_into(&self, out: &mut Tensor) {
         self.map_into(f32::sqrt, out)
     }
@@ -327,7 +297,9 @@ mod tests {
     #[test]
     fn relu_zeroes_negatives() {
         let t = Tensor::from_vec(vec![-1.0, 0.0, 2.0], &[3]);
-        assert_eq!(t.relu().data(), &[0.0, 0.0, 2.0]);
+        let mut r = Tensor::default();
+        t.relu_into(&mut r);
+        assert_eq!(r.data(), &[0.0, 0.0, 2.0]);
     }
 
     #[test]

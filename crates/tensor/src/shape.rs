@@ -111,7 +111,7 @@ pub(crate) fn broadcast_strides_array(src: &[usize], dst: &[usize], out: &mut [u
 /// # Panics
 ///
 /// Panics when the axis is out of range for the rank.
-pub(crate) fn normalize_axis(axis: isize, rank: usize) -> usize {
+pub fn normalize_axis(axis: isize, rank: usize) -> usize {
     let a = if axis < 0 { axis + rank as isize } else { axis };
     assert!((0..rank as isize).contains(&a), "axis {axis} out of range for rank {rank}");
     a as usize

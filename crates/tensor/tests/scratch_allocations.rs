@@ -6,28 +6,10 @@
 //! cases in order on one thread, so the counting allocator sees nothing
 //! but the code under test.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use enhancenet_tensor::{with_scratch, Tensor};
 
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
 fn warm_scratch_pool_is_allocation_free_when_disabled() {
     enhancenet_telemetry::set_enabled(false);
@@ -37,14 +19,14 @@ fn warm_scratch_pool_is_allocation_free_when_disabled() {
     let (b_panel, a_panel) = (256 * 512, 256 * 64);
     with_scratch(b_panel, |_| with_scratch(a_panel, |_| ()));
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = counting_alloc::allocations();
     for _ in 0..10_000 {
         with_scratch(b_panel, |outer| {
             outer[0] = 1.0;
             with_scratch(a_panel, |inner| inner[0] = 2.0);
         });
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = counting_alloc::allocations();
 
     assert_eq!(
         after - before,
@@ -58,9 +40,9 @@ fn warm_scratch_pool_is_allocation_free_when_disabled() {
 /// made.
 fn warm_run(product: fn(&Tensor, &Tensor) -> Tensor, lhs: &Tensor, rhs: &Tensor) -> (Tensor, u64) {
     let _warm = product(lhs, rhs);
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = counting_alloc::allocations();
     let out = product(lhs, rhs);
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = counting_alloc::allocations();
     (out, after - before)
 }
 

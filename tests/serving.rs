@@ -63,7 +63,9 @@ fn streamed_forecasts_match_offline_predict_bitwise() {
 }
 
 /// A host whose forward pass is far slower than the serving deadline. It
-/// refuses compilation, so every batch runs the slow forward on the tape.
+/// refuses compilation, so every batch runs the slow forward on the tape;
+/// its refusal still traces (and sleeps), returning the real prediction as
+/// the compile contract requires.
 struct SlowModel {
     inner: GruSeq2Seq,
     sleep: Duration,
@@ -97,10 +99,11 @@ impl Forecaster for SlowModel {
     }
     fn compile_eval_plan_on(
         &self,
-        _store: &ParamStore,
-        _batched: &Tensor,
+        store: &ParamStore,
+        batched: &Tensor,
     ) -> (Result<Plan, PlanError>, Tensor) {
-        (Err(PlanError::NoInput), Tensor::default())
+        std::thread::sleep(self.sleep);
+        (Err(PlanError::NoInput), self.inner.compile_eval_plan_on(store, batched).1)
     }
 }
 
